@@ -16,8 +16,15 @@ comparison about agent j is read:
   only mode in which indexed propositions ``p@i`` may appear.
 
 Common belief is the conjunction of all finite iterations of "everybody in
-the group believes"; it is decided by one labeled reachability pass, and
-``eb_k`` provides the finite iterations independently as an oracle.
+the group believes".  It is decided by one backward pass that computes the
+states where it fails as a least fixpoint over each agent's successor
+blocks (a cell support, or a conditioning event in the signal modes), so
+the work is linear in the size of the blocks; common belief is the
+complement, a greatest fixpoint.  In the signal modes a state whose
+conditional is undefined for a group agent has no edges for that agent; the
+pass raises ``UndefinedConditional`` for the first such state (in
+``states`` order) unless common belief fails there anyway.  ``eb_k``
+provides the finite iterations independently as an oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .modes import EvalMode
 from .reporting import Report
 from .structure import (
     Structure,
-    conditional_targets,
     is_common_interpretation,
     prop_extension,
     validate_signals,
@@ -87,8 +93,9 @@ class Evaluator:
         self.m = m
         self._universe = m.universe
         self._ext = {}
-        self._succ = {}
+        self._blocks_cache = {}
         self._sig_event = {}
+        self._signal_report = None
         self._mode_checked = {}
         self._expanded = {}
         self._query_checked = set()
@@ -111,7 +118,9 @@ class Evaluator:
             if self.m.priors is None:
                 problem = "mode %s needs explicit priors" % mode
             else:
-                report = validate_signals(self.m)
+                if self._signal_report is None:
+                    self._signal_report = validate_signals(self.m)
+                report = self._signal_report
                 relevant = (report.entries
                             if mode is EvalMode.OUTERMOST_AI
                             else [v for v in report.entries
@@ -173,8 +182,8 @@ class Evaluator:
         """Extension of the k-fold "everybody in the group believes".
 
         Computed by iterating the probability-one clause on sets, never by
-        the reachability pass, so it can serve as an independent oracle for
-        ``common_belief_set``.
+        the backward common-belief pass, so it can serve as an independent
+        oracle for ``common_belief_set``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -265,13 +274,17 @@ class Evaluator:
                 for t in f.terms]
         out = set()
         if mode.is_ai:
+            verdicts = {}  # conditioning event -> does the comparison hold
             for state in m.states:
-                event = self._signal_targets(j, state, mode, agent)
-                denom = m.prior_mass(j, event)
-                value = sum(
-                    (coeff * m.prior_mass(j, ext & event) / denom
-                     for coeff, ext in args), Fraction(0))
-                if value >= f.bound:
+                event, denom, _ = self._signal_event(j, state, reader)
+                if denom == 0:
+                    raise self._undefined(j, state, event)
+                holds = verdicts.get(event)
+                if holds is None:
+                    value = sum((coeff * m.prior_mass(j, ext & event)
+                                 for coeff, ext in args), Fraction(0))
+                    holds = verdicts[event] = value / denom >= f.bound
+                if holds:
                     out.add(state)
         else:
             for cell, cb in zip(m.partitions[j], m.beliefs[j]):
@@ -281,24 +294,41 @@ class Evaluator:
                     out |= cell
         return frozenset(out)
 
+    def _signal_event(self, j: int, state: str, reader: int) -> tuple:
+        """Agent j's conditioning event at a state as read by ``reader``,
+        with its prior mass and the event's states of positive prior mass.
+
+        Computed once per distinct (agent, signal formula, reader), so
+        states sharing a signal share one event."""
+        m = self.m
+        sig = m.signals.get(j, {}).get(state)
+        if sig is None:
+            raise MissingSignals("agent %d has no signal at state %s"
+                                 % (j, state))
+        key = (j, sig, reader)
+        got = self._sig_event.get(key)
+        if got is None:
+            event = prop_extension(m, reader, sig)
+            nu = m.priors[j]
+            support = frozenset(s for s in event
+                                if nu.get(s, Fraction(0)) > 0)
+            got = self._sig_event[key] = (event, m.prior_mass(j, event),
+                                          support)
+        return got
+
+    def _undefined(self, j: int, state: str,
+                   event: frozenset) -> UndefinedConditional:
+        sig = self.m.signals[j][state]
+        return UndefinedConditional(j, state, fm.print_formula(sig), event)
+
     def _signal_targets(self, j: int, state: str, mode: EvalMode,
                         outer: int) -> frozenset:
         """Conditioning event for agent j's signal at a state, as read by
         the mode's reader; raises when it carries no prior mass."""
-        m = self.m
         reader = j if mode is EvalMode.INNERMOST_AI else outer
-        key = (j, state, reader)
-        event = self._sig_event.get(key)
-        if event is None:
-            sig = m.signals.get(j, {}).get(state)
-            if sig is None:
-                raise MissingSignals("agent %d has no signal at state %s"
-                                     % (j, state))
-            event = prop_extension(m, reader, sig)
-            self._sig_event[key] = event
-        if m.prior_mass(j, event) == 0:
-            sig = m.signals[j][state]
-            raise UndefinedConditional(j, state, fm.print_formula(sig), event)
+        event, mass, _ = self._signal_event(j, state, reader)
+        if mass == 0:
+            raise self._undefined(j, state, event)
         return event
 
     def _prob_one_states(self, j: int, target: frozenset, mode: EvalMode,
@@ -321,67 +351,97 @@ class Evaluator:
                     out |= cell
         return frozenset(out)
 
-    def _successors(self, state: str, j: int, mode: EvalMode,
-                    outer: int) -> frozenset:
-        """States agent j considers possible from ``state``, computed lazily
-        so that undefined conditionals only surface when actually reached."""
-        outer_key = outer if mode is EvalMode.OUTERMOST_AI else None
-        key = (state, j, mode, outer_key)
-        cached = self._succ.get(key)
-        if cached is not None:
-            return cached
+    def _blocks(self, j: int, reader) -> tuple:
+        """Agent j's belief edges grouped by successor set.
+
+        With ``reader`` None the successor set is the cell support (cell
+        modes); otherwise it is the positive-prior part of j's conditioning
+        event as read by ``reader`` (signal modes).  Returns ``(blocks,
+        containing, undefined)``: ``blocks`` lists each distinct successor
+        set with the states it comes from; ``containing`` maps a state to
+        the indices of the blocks that contain it; ``undefined`` maps each
+        state whose conditional is undefined to its event.
+        """
+        key = (j, reader)
+        got = self._blocks_cache.get(key)
+        if got is not None:
+            return got
         m = self.m
-        if mode.is_ai:
-            out = conditional_targets(m, mode, outer, j, state)
-        else:
-            out = m.cell_beliefs(j, state).support()
-        self._succ[key] = out
-        return out
+        sources = {}
+        undefined = {}
+        for s in m.states:
+            if reader is not None:
+                event, mass, succ = self._signal_event(j, s, reader)
+                if mass == 0:
+                    undefined[s] = event
+                    continue
+            else:
+                succ = m.cell_beliefs(j, s).support()
+            sources.setdefault(succ, []).append(s)
+        blocks = list(sources.items())
+        containing = {}
+        for b, (succ, _) in enumerate(blocks):
+            for t in succ:
+                containing.setdefault(t, []).append(b)
+        got = self._blocks_cache[key] = (blocks, containing, undefined)
+        return got
 
     def _cb_set(self, group, f, mode: EvalMode, outer: int) -> frozenset:
         """States where the group's common belief in f holds.
 
-        Walk the labeled belief graph: common belief holds at w iff every
-        (state, last edge label j) pair reachable from w by one or more
-        edges passes the end check, which reads f with the outer agent in
-        the outermost-style modes and with j in the innermost-style modes.
+        Common belief fails at w iff some (state t, last edge label j) pair
+        reachable from w by one or more edges fails the end check: t lies
+        outside f as read by the outer agent in the outermost-style modes
+        and by j in the innermost-style modes.  The failing states are a
+        least fixpoint, found by one backward pass: first the sources of
+        every j-block not inside f's reading for j; then, each time a state
+        fails, every block containing it fails, and with it the block's
+        sources.  Each block is marked at most once, so the work is linear
+        in the total size of the blocks.
+
+        A state whose conditional is undefined for a group agent has no
+        edges for that agent.  After the pass, the first such state in
+        ``states`` order where common belief has not already failed raises
+        its ``UndefinedConditional``.
         """
         if not group:
             raise ValueError("common-belief group must be nonempty")
-        passes = {}
+        bad = set()
+        stack = []
 
-        def end_check(target, label):
-            key = (target, label)
-            got = passes.get(key)
-            if got is None:
-                reader = label if mode.innermost_scope else outer
-                got = target in self._ext_core(reader, f, mode)
-                passes[key] = got
-            return got
+        def fail(states):
+            for s in states:
+                if s not in bad:
+                    bad.add(s)
+                    stack.append(s)
 
-        result = set()
-        for start in self.m.states:
-            ok = True
-            seen_states = {start}
-            seen_pairs = set()
-            frontier = [start]
-            while frontier and ok:
-                s = frontier.pop()
-                for j in group:
-                    for t in self._successors(s, j, mode, outer):
-                        if (t, j) not in seen_pairs:
-                            seen_pairs.add((t, j))
-                            if not end_check(t, j):
-                                ok = False
-                                break
-                        if t not in seen_states:
-                            seen_states.add(t)
-                            frontier.append(t)
-                    if not ok:
-                        break
-            if ok:
-                result.add(start)
-        return frozenset(result)
+        graphs = []
+        undefined = {}
+        for j in sorted(group):
+            reader = j if mode.innermost_scope else outer
+            blocks, containing, undef = self._blocks(
+                j, reader if mode.is_ai else None)
+            holds = self._ext_core(reader, f, mode)
+            failed = [not succ <= holds for succ, _ in blocks]
+            for (_, sources), dead in zip(blocks, failed):
+                if dead:
+                    fail(sources)
+            graphs.append((blocks, containing, failed))
+            for s, event in undef.items():
+                undefined.setdefault(s, (j, event))
+        while stack:
+            t = stack.pop()
+            for blocks, containing, failed in graphs:
+                for b in containing.get(t, ()):
+                    if not failed[b]:
+                        failed[b] = True
+                        fail(blocks[b][1])
+        if undefined:
+            for s in self.m.states:
+                if s in undefined and s not in bad:
+                    j, event = undefined[s]
+                    raise self._undefined(j, s, event)
+        return self._universe - bad
 
 
 def evaluate(m: Structure, state: str, agent: int, f, mode: EvalMode,

@@ -152,6 +152,7 @@ class Structure:
                 for s in cell:
                     index.setdefault((i, s), ci)
         object.__setattr__(self, "_cell_index", index)
+        object.__setattr__(self, "_universe", frozenset(self.states))
 
     @property
     def agents(self) -> range:
@@ -159,7 +160,7 @@ class Structure:
 
     @property
     def universe(self) -> frozenset:
-        return frozenset(self.states)
+        return self._universe
 
     def cell_index(self, agent: int, state: str) -> int:
         try:
@@ -329,7 +330,8 @@ def validate_signals(m: Structure) -> Report:
     if m.signals is None:
         raise MissingSignals("structure declares no signals")
     report = Report()
-    exts = {}  # (owner, state, reader) -> frozenset
+    readings = {}  # signal -> {reader: frozenset}, None if not propositional
+    exts = {}  # (owner, state) -> that state's signal's readings
     for i in m.agents:
         per_agent = m.signals.get(i, {})
         for s in m.states:
@@ -339,20 +341,25 @@ def validate_signals(m: Structure) -> Report:
                            "agent %d has no signal at state %s" % (i, s),
                            agent=i, state=s)
                 continue
-            if not fm.is_propositional(sig):
+            reading = readings.get(sig, False)
+            if reading is False:
+                reading = readings[sig] = (
+                    {j: prop_extension(m, j, sig) for j in m.agents}
+                    if fm.is_propositional(sig) else None)
+            if reading is None:
                 report.add("signal-not-propositional",
                            "agent %d's signal at %s is not propositional"
                            % (i, s), agent=i, state=s,
                            signal=fm.print_formula(sig))
                 continue
-            for j in m.agents:
-                exts[(i, s, j)] = prop_extension(m, j, sig)
+            exts[i, s] = reading
 
     for i in m.agents:
         for s in m.states:
-            ext = exts.get((i, s, i))
-            if ext is None:
+            reading = exts.get((i, s))
+            if reading is None:
                 continue
+            ext = reading[i]
             cell = m.cell_of(i, s)
             if ext != cell:
                 report.add(
@@ -363,18 +370,18 @@ def validate_signals(m: Structure) -> Report:
 
     universe = m.universe
     for i in m.agents:
+        if not all((i, s) in exts for s in m.states):
+            continue
+        owned = [exts[i, s] for s in m.states]
         for j in m.agents:
-            got_all = all((i, s, j) in exts for s in m.states)
-            if not got_all:
-                continue
-            for s in m.states:
-                if s not in exts[(i, s, j)]:
+            for s, reading in zip(m.states, owned):
+                if s not in reading[j]:
                     report.add(
                         "signal-membership",
                         "state %s lies outside agent %d's reading of agent "
                         "%d's signal there" % (s, j, i),
                         owner=i, reader=j, state=s)
-            blocks = {exts[(i, s, j)] for s in m.states}
+            blocks = {reading[j] for reading in owned}
             covered = set()
             disjoint = True
             for block in blocks:

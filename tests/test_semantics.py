@@ -13,7 +13,13 @@ from ambilogic.errors import (
     UnknownState,
 )
 from ambilogic.fixtures import m_ai, m_ck, m_red, m_sig
-from ambilogic.generators import GenBounds, formula_corpus, random_structure
+from ambilogic.generators import (
+    GenBounds,
+    formula_corpus,
+    random_core_formula,
+    random_signal_structure,
+    random_structure,
+)
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import (
     Evaluator,
@@ -24,6 +30,7 @@ from ambilogic.semantics import (
     valid_in_model,
 )
 from ambilogic.structure import Structure, singleton_cell
+from ambilogic.transforms import fix_interpretation
 
 OU, IN = EvalMode.OUTERMOST, EvalMode.INNERMOST
 OU_AI, IN_AI = EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI
@@ -311,3 +318,109 @@ def test_cb_saturation_against_eb_chain():
             for k in range(1, bound + 1):
                 chain &= ev.eb_k(group, f, k, mode, outer)
             assert ev.common_belief_set(group, f, mode, outer) == chain
+
+
+def _chain_fixpoint(ev, group, f, mode, outer):
+    """Intersection of eb_k for k = 1, 2, ... until a level repeats."""
+    out = ev.m.universe
+    seen = set()
+    k = 1
+    while True:
+        level = ev.eb_k(group, f, k, mode, outer)
+        if level in seen:
+            return out
+        seen.add(level)
+        out &= level
+        k += 1
+
+
+def test_cb_matches_eb_chain_in_all_modes():
+    rng = random.Random(21)
+    bounds = GenBounds(max_states=5, max_agents=3, max_props=2)
+    compared = {mode: 0 for mode in EvalMode}
+    undefined = 0
+    for trial in range(300):
+        kind = trial % 5
+        if kind == 0:
+            m = random_structure(rng, bounds)
+            modes = (OU, IN)
+        elif kind == 1:
+            m = fix_interpretation(random_structure(rng, bounds), 1)
+            modes = (COMMON,)
+        else:
+            m = random_signal_structure(rng, bounds, cross=kind == 3)
+            modes = (OU_AI, IN_AI)
+        props = list(m.props[:bounds.max_props])
+        agents = list(m.agents)
+        group = frozenset(rng.sample(agents, rng.randint(1, len(agents))))
+        inner = random_core_formula(rng, props, m.n_agents, 2)
+        j = rng.choice(agents)
+        args = (
+            inner,
+            fm.ProbGe(((HALF, j, inner), (ONE, j, fm.Prop(props[0]))),
+                      HALF),
+            fm.And(fm.Prop(props[-1]),
+                   fm.CB(frozenset(rng.sample(agents, 1)), inner)),
+        )
+        ev = Evaluator(m)
+        for mode in modes:
+            for f in args:
+                outer = rng.choice(agents)
+                try:
+                    chain = _chain_fixpoint(ev, group, f, mode, outer)
+                except UndefinedConditional:
+                    undefined += 1
+                    continue
+                assert ev.common_belief_set(group, f, mode, outer) == chain, (
+                    trial, mode, fm.print_formula(f), outer)
+                compared[mode] += 1
+    assert min(compared.values()) >= 120, (compared, undefined)
+
+
+def _undefined_for_agent_2():
+    """Agent 1 cannot tell w1 from w2 and reads p as {w1}; agent 2 knows
+    the state, but her prior gives her cell {w2} no mass, so her
+    conditional at w2 is undefined in the innermost signal mode."""
+    uniform = {"w1": HALF, "w2": HALF}
+    whole = frozenset({"w1", "w2"})
+    return Structure(
+        n_agents=2,
+        states=("w1", "w2"),
+        props=("p", "s"),
+        partitions={
+            1: (whole,),
+            2: (frozenset({"w1"}), frozenset({"w2"})),
+        },
+        beliefs={
+            1: (singleton_cell(whole, dict(uniform)),),
+            2: (singleton_cell({"w1"}, {"w1": ONE}),
+                singleton_cell({"w2"}, {"w2": ONE})),
+        },
+        interpretations={
+            1: {"p": frozenset({"w1"}), "s": frozenset({"w1"})},
+            2: {"p": whole, "s": frozenset({"w1"})},
+        },
+        priors={1: dict(uniform), 2: {"w1": ONE, "w2": Fraction(0)}},
+        signals={
+            1: {"w1": fm.parse("s | !s"), "w2": fm.parse("s | !s")},
+            2: {"w1": fm.parse("s"), "w2": fm.parse("!s")},
+        },
+    )
+
+
+def test_cb_undefined_conditional_at_refuted_state_is_ignored():
+    # Agent 1 considers w1 and w2 possible everywhere and reads p as {w1},
+    # so common belief in p fails at both states through agent 1; agent 2's
+    # undefined conditional at w2 cannot change that.
+    m = _undefined_for_agent_2()
+    ev = Evaluator(m)
+    assert ev.common_belief_set({1, 2}, fm.parse("p"), IN_AI, 1) \
+        == frozenset()
+
+
+def test_cb_undefined_conditional_at_unrefuted_state_raises():
+    m = _undefined_for_agent_2()
+    ev = Evaluator(m)
+    with pytest.raises(UndefinedConditional) as info:
+        ev.common_belief_set({1, 2}, fm.parse("p | !s"), IN_AI, 1)
+    assert (info.value.agent, info.value.state) == (2, "w2")
