@@ -12,7 +12,6 @@ Run with:  python3 demos/03_signal_conditioning.py
 from ambilogic import (
     EvalMode,
     Evaluator,
-    belief_edges,
     parse,
     print_formula,
     validate_core,
@@ -38,13 +37,13 @@ print("  agent 2 reads s as", sorted(m.interpretations[2]["s"]),
       "and t as", sorted(m.interpretations[2]["t"]))
 print()
 
+ev = Evaluator(m)
 print("agent 1's possibility edges as agent 2 sees them (outermost-ai):")
-print("  ", sorted(belief_edges(m, OU_AI, 2, 1)))
+print("  ", sorted(ev.belief_edges(1, OU_AI, 2)))
 print("agent 1's actual possibility edges (innermost-ai):")
-print("  ", sorted(belief_edges(m, IN_AI, 2, 1)))
+print("  ", sorted(ev.belief_edges(1, IN_AI, 2)))
 print()
 
-ev = Evaluator(m)
 f = parse("Pr1(p) >= 1")
 print("Is agent 1 certain of p, judged by agent 2 at state a?")
 print("  outermost-ai:", ev.evaluate("a", 2, f, OU_AI))

@@ -11,7 +11,7 @@ Run with:  python3 demos/05_indexed_language.py
 
 from ambilogic import (
     EvalMode,
-    evaluate,
+    Evaluator,
     lift_to_indexed,
     parse,
     print_formula,
@@ -66,9 +66,10 @@ m2 = Structure(
     interpretations={1: {"p": cell}, 2: {"p": frozenset({"w1"})}},
 )
 lifted2 = lift_to_indexed(m2)
-left = evaluate(m2, "w1", 1, f, EvalMode.INNERMOST)
-good = evaluate(lifted2, "w1", 1, translate_in(f, 1), EvalMode.COMMON)
-bad = evaluate(lifted2, "w1", 1, translate_in_naive(f, 1), EvalMode.COMMON)
+ev2 = Evaluator(lifted2)
+left = Evaluator(m2).evaluate("w1", 1, f, EvalMode.INNERMOST)
+good = ev2.evaluate("w1", 1, translate_in(f, 1), EvalMode.COMMON)
+bad = ev2.evaluate("w1", 1, translate_in_naive(f, 1), EvalMode.COMMON)
 print("innermost truth at (w1, agent 1): %s" % left)
 print("correct translation in the lift:  %s" % good)
 print("naive translation in the lift:    %s   <- wrong" % bad)

@@ -53,11 +53,9 @@ from .reporting import Report, Violation
 from .structure import (
     CellBeliefs,
     Structure,
-    belief_edges,
     dump_structure,
     dumps_structure,
     generate_priors,
-    has_identical_priors,
     is_common_interpretation,
     load_structure,
     loads_structure,
@@ -69,15 +67,7 @@ from .structure import (
     validate_core,
     validate_signals,
 )
-from .semantics import (
-    EvalQuery,
-    Evaluator,
-    common_belief_set,
-    eb_k,
-    evaluate,
-    extension,
-    valid_in_model,
-)
+from .semantics import Evaluator, valid_in_model
 from .transforms import (
     StateMap,
     TransformClaim,

@@ -99,19 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _leading_prob_terms(f):
-    """The linear form of the formula's leading probability comparison.
+def _leading_comparison(f):
+    """The formula's leading probability comparison.
 
     Comparisons other than >= desugar at parse time; peel the desugaring to
-    recover a determinate linear form (left conjunct for =, inner
+    recover a determinate comparison (left conjunct for =, inner
     comparison for < and >, possibly sign-flipped for <=/>).
     """
     if isinstance(f, fm.ProbGe):
-        return f.terms
+        return f
     if isinstance(f, fm.Not) and isinstance(f.arg, fm.ProbGe):
-        return f.arg.terms
+        return f.arg
     if isinstance(f, fm.And) and isinstance(f.left, fm.ProbGe):
-        return f.left.terms
+        return f.left
     return None
 
 
@@ -131,23 +131,9 @@ def _cmd_eval(args) -> int:
     ev = Evaluator(m)
     result = ev.evaluate(args.state, args.agent, f, mode)
     value = None
-    if args.show_value:
-        terms = _leading_prob_terms(f)
-        if terms is not None:
-            j = terms[0].agent
-            reader = j if mode.innermost_scope else args.agent
-            total = 0
-            for t in terms:
-                ext = ev.extension(reader, t.arg, mode)
-                if mode.is_ai:
-                    event = ev._signal_targets(j, args.state, mode, args.agent)
-                    total += (t.coeff * m.prior_mass(j, ext & event)
-                              / m.prior_mass(j, event))
-                else:
-                    cell = m.cell_of(j, args.state)
-                    cb = m.cell_beliefs(j, args.state)
-                    total += t.coeff * cb.measure(ext & cell)
-            value = str(total)
+    comparison = _leading_comparison(f) if args.show_value else None
+    if comparison is not None:
+        value = str(ev.prob_value(args.state, args.agent, comparison, mode))
     if args.json:
         print(json.dumps({"result": result, "value": value}))
     else:

@@ -22,8 +22,7 @@ __all__ = [
     "random_core_formula", "random_surface_formula", "formula_corpus",
 ]
 
-_STATE_NAMES = ["w%d" % i for i in range(1, 9)]
-_PROP_NAMES = ["p", "q", "r", "u", "v"]
+_PROP_NAMES = ("p", "q", "r", "u", "v")
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,9 @@ def random_structure(rng: random.Random, bounds: GenBounds,
     n_states = rng.randint(1, bounds.max_states)
     n_agents = rng.randint(1, bounds.max_agents)
     n_props = rng.randint(1, bounds.max_props)
-    states = tuple(_STATE_NAMES[:n_states])
-    props = tuple(_PROP_NAMES[:n_props])
+    states = tuple("w%d" % k for k in range(1, n_states + 1))
+    props = _PROP_NAMES[:n_props] + tuple(
+        "p%d" % k for k in range(len(_PROP_NAMES) + 1, n_props + 1))
 
     partitions = {}
     beliefs = {}

@@ -1,4 +1,5 @@
-"""Truth evaluation under the five modes.
+"""Truth evaluation under the five modes; ``Evaluator`` is the only code
+that evaluates formulas, and its methods are the evaluation API.
 
 The judgment is "formula f holds at state w according to agent i".  All
 modes share the clauses for propositions (the interpreting agent's
@@ -10,10 +11,12 @@ comparison about agent j is read:
 * innermost: j's cell measure is applied to the arguments as read by j
   himself (truth is then agent-independent for such formulas);
 * the two signal ("-ai") variants condition j's explicit prior on a
-  reader's interpretation of j's current signal formula instead of using
-  the cell measure directly;
+  reader's interpretation of j's current signal formula (the conditioning
+  event, built only by ``_signal_event``) instead of the cell measure;
 * common: one shared interpretation, the classical case; this is also the
   only mode in which indexed propositions ``p@i`` may appear.
+
+Every probability value, ``prob_value``'s included, is summed by ``_lhs``.
 
 Common belief is the conjunction of all finite iterations of "everybody in
 the group believes".  It is decided by one backward pass that computes the
@@ -29,8 +32,8 @@ provides the finite iterations independently as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import formula as fm
 from .errors import (
@@ -51,33 +54,7 @@ from .structure import (
     _A5_KINDS,
 )
 
-__all__ = [
-    "EvalMode", "EvalQuery", "Evaluator",
-    "evaluate", "extension", "common_belief_set", "eb_k", "valid_in_model",
-]
-
-
-@dataclass(frozen=True)
-class EvalQuery:
-    """One evaluation judgment: formula at (structure, state, agent, mode)."""
-
-    structure: Structure
-    state: str
-    agent: int
-    formula: object
-    mode: EvalMode
-
-    def run(self) -> bool:
-        return evaluate(self.structure, self.state, self.agent,
-                        self.formula, self.mode)
-
-    def describe(self) -> dict:
-        return {
-            "state": self.state,
-            "agent": self.agent,
-            "formula": fm.print_formula(self.formula),
-            "mode": self.mode.value,
-        }
+__all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 
 
 class Evaluator:
@@ -115,8 +92,13 @@ class Evaluator:
         elif mode.is_ai:
             if self.m.signals is None:
                 raise MissingSignals("mode %s needs per-state signals" % mode)
+            missing = [i for i in self.m.agents
+                       if i not in (self.m.priors or {})]
             if self.m.priors is None:
                 problem = "mode %s needs explicit priors" % mode
+            elif missing:
+                problem = ("mode %s needs a prior for every agent: "
+                           "prior-missing for agent %d" % (mode, missing[0]))
             else:
                 if self._signal_report is None:
                     self._signal_report = validate_signals(self.m)
@@ -160,23 +142,35 @@ class Evaluator:
         return state in self.extension(agent, f, mode)
 
     def extension(self, agent: int, f, mode: EvalMode) -> frozenset:
-        if agent not in self.m.agents:
-            raise UnknownAgent("agent %d not in 1..%d"
-                               % (agent, self.m.n_agents))
-        self._require_mode(mode)
-        self._check_query(f, mode)
-        return self._ext_core(agent, self._expand(f), mode)
+        return self._ext_core(agent, self._prepare(f, mode, agent), mode)
+
+    def prob_value(self, state: str, agent: int, f,
+                   mode: EvalMode) -> Fraction:
+        """Exact left-hand side of the probability comparison ``f`` at
+        ``state`` according to ``agent``: the value that ``extension``
+        compares with the bound.  ``f`` must expand to a ``ProbGe``."""
+        if state not in self._universe:
+            raise UnknownState("state %r not declared" % state)
+        core = self._prepare(f, mode, agent)
+        if not isinstance(core, fm.ProbGe):
+            raise ValueError("not a probability comparison: %s"
+                             % fm.print_formula(f))
+        m = self.m
+        j = core.agent
+        reader, args = self._prob_args(agent, core, mode)
+        if mode.is_ai:
+            event, mass, _ = self._signal_event(j, state, reader)
+            if mass == 0:
+                raise self._undefined(j, state, event)
+            return self._lhs(args, event, partial(m.prior_mass, j), mass)
+        ci = m.cell_index(j, state)
+        return self._lhs(args, m.partitions[j][ci], m.beliefs[j][ci].measure)
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
-        self._require_mode(mode)
-        self._check_query(f, mode)
         group = frozenset(group)
-        for i in group | {outer}:
-            if i not in self.m.agents:
-                raise UnknownAgent("agent %d not in 1..%d"
-                                   % (i, self.m.n_agents))
-        return self._cb_set(group, self._expand(f), mode, outer)
+        core = self._prepare(f, mode, *group, outer)
+        return self._cb_set(group, core, mode, outer)
 
     def eb_k(self, group, f, k: int, mode: EvalMode, outer: int) -> frozenset:
         """Extension of the k-fold "everybody in the group believes".
@@ -187,16 +181,10 @@ class Evaluator:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        self._require_mode(mode)
-        self._check_query(f, mode)
         group = frozenset(group)
         if not group:
             raise ValueError("group must be nonempty")
-        for i in group | {outer}:
-            if i not in self.m.agents:
-                raise UnknownAgent("agent %d not in 1..%d"
-                                   % (i, self.m.n_agents))
-        core = self._expand(f)
+        core = self._prepare(f, mode, *group, outer)
         if mode.innermost_scope:
             cur = None
             for level in range(k):
@@ -218,7 +206,29 @@ class Evaluator:
                       for j in group])
         return cur
 
+    def belief_edges(self, j: int, mode: EvalMode, outer: int) -> frozenset:
+        """The pairs (state, state') where agent ``j`` considers state'
+        possible (the edges the common-belief pass walks), read off
+        ``_blocks``; raises for the first state whose conditional is
+        undefined."""
+        self.m.check_agents(j)
+        self._require_mode(mode)
+        reader = j if mode.innermost_scope else outer
+        blocks, _, undefined = self._blocks(j, reader if mode.is_ai else None)
+        if undefined:
+            s = next(iter(undefined))
+            raise self._undefined(j, s, undefined[s])
+        return frozenset((s, t) for succ, sources in blocks
+                         for s in sources for t in succ)
+
     # -- internals --
+
+    def _prepare(self, f, mode: EvalMode, *agents):
+        """Check a query about ``agents`` and return f's core formula."""
+        self.m.check_agents(*agents)
+        self._require_mode(mode)
+        self._check_query(f, mode)
+        return self._expand(f)
 
     def _expand(self, f):
         core = self._expanded.get(f)
@@ -269,30 +279,52 @@ class Evaluator:
     def _prob_extension(self, agent: int, f, mode: EvalMode) -> frozenset:
         m = self.m
         j = f.agent
-        reader = j if mode.innermost_scope else agent
-        args = [(t.coeff, self._ext_core(reader, t.arg, mode))
-                for t in f.terms]
-        out = set()
+        reader, args = self._prob_args(agent, f, mode)
         if mode.is_ai:
-            verdicts = {}  # conditioning event -> does the comparison hold
-            for state in m.states:
-                event, denom, _ = self._signal_event(j, state, reader)
-                if denom == 0:
-                    raise self._undefined(j, state, event)
-                holds = verdicts.get(event)
-                if holds is None:
-                    value = sum((coeff * m.prior_mass(j, ext & event)
-                                 for coeff, ext in args), Fraction(0))
-                    holds = verdicts[event] = value / denom >= f.bound
-                if holds:
-                    out.add(state)
-        else:
-            for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-                value = sum((coeff * cb.measure(ext & cell)
-                             for coeff, ext in args), Fraction(0))
-                if value >= f.bound:
-                    out |= cell
+            measure = partial(m.prior_mass, j)
+            return frozenset(self._event_states(
+                j, reader, lambda event, mass:
+                self._lhs(args, event, measure, mass) >= f.bound))
+        out = set()
+        for cell, cb in zip(m.partitions[j], m.beliefs[j]):
+            if self._lhs(args, cell, cb.measure) >= f.bound:
+                out |= cell
         return frozenset(out)
+
+    def _prob_args(self, agent: int, f, mode: EvalMode) -> tuple:
+        """The mode's reader of a comparison's arguments, and each term's
+        coefficient with its argument's extension as that reader has it."""
+        reader = f.agent if mode.innermost_scope else agent
+        return reader, [(t.coeff, self._ext_core(reader, t.arg, mode))
+                        for t in f.terms]
+
+    @staticmethod
+    def _lhs(args, event: frozenset, measure, mass=1) -> Fraction:
+        """Left-hand side of a probability comparison: the sum of each
+        coefficient times the ``measure`` of its argument's extension
+        within ``event``, over ``mass``.  The event is a cell with its
+        measure, or a conditioning event with the prior and its mass."""
+        total = sum((coeff * measure(ext & event) for coeff, ext in args),
+                    Fraction(0))
+        return total if mass == 1 else total / mass
+
+    def _event_states(self, j: int, reader: int, holds) -> set:
+        """States whose conditioning event for agent j, as read by
+        ``reader``, satisfies ``holds(event, mass)``.  Each distinct event
+        is tested once; the first state whose event has prior mass 0
+        raises ``UndefinedConditional``."""
+        out = set()
+        verdicts = {}
+        for state in self.m.states:
+            event, mass, _ = self._signal_event(j, state, reader)
+            if mass == 0:
+                raise self._undefined(j, state, event)
+            ok = verdicts.get(event)
+            if ok is None:
+                ok = verdicts[event] = holds(event, mass)
+            if ok:
+                out.add(state)
+        return out
 
     def _signal_event(self, j: int, state: str, reader: int) -> tuple:
         """Agent j's conditioning event at a state as read by ``reader``,
@@ -321,34 +353,25 @@ class Evaluator:
         sig = self.m.signals[j][state]
         return UndefinedConditional(j, state, fm.print_formula(sig), event)
 
-    def _signal_targets(self, j: int, state: str, mode: EvalMode,
-                        outer: int) -> frozenset:
-        """Conditioning event for agent j's signal at a state, as read by
-        the mode's reader; raises when it carries no prior mass."""
-        reader = j if mode is EvalMode.INNERMOST_AI else outer
-        event, mass, _ = self._signal_event(j, state, reader)
-        if mass == 0:
-            raise self._undefined(j, state, event)
-        return event
-
     def _prob_one_states(self, j: int, target: frozenset, mode: EvalMode,
                          outer: int) -> frozenset:
-        """States where agent j assigns probability one to ``target``."""
+        """States where agent j assigns probability one to ``target``,
+        found by comparing masses (the prior mass of ``target`` inside each
+        conditioning event in the signal modes)."""
         m = self.m
-        out = set()
         if mode.is_ai:
-            for state in m.states:
-                event = self._signal_targets(j, state, mode, outer)
-                if m.prior_mass(j, target & event) == m.prior_mass(j, event):
-                    out.add(state)
-        else:
-            for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-                if cb._point is not None:
-                    ok = cb.believes(target)
-                else:
-                    ok = cb.measure(target & cell) == 1
-                if ok:
-                    out |= cell
+            reader = j if mode.innermost_scope else outer
+            return frozenset(self._event_states(
+                j, reader, lambda event, mass:
+                m.prior_mass(j, target & event) == mass))
+        out = set()
+        for cell, cb in zip(m.partitions[j], m.beliefs[j]):
+            if cb._point is not None:
+                ok = cb.believes(target)
+            else:
+                ok = cb.measure(target & cell) == 1
+            if ok:
+                out |= cell
         return frozenset(out)
 
     def _blocks(self, j: int, reader) -> tuple:
@@ -442,35 +465,6 @@ class Evaluator:
                     j, event = undefined[s]
                     raise self._undefined(j, s, event)
         return self._universe - bad
-
-
-def evaluate(m: Structure, state: str, agent: int, f, mode: EvalMode,
-             evaluator: Evaluator = None) -> bool:
-    """Does f hold at ``state`` according to ``agent`` under ``mode``?"""
-    ev = evaluator if evaluator is not None else Evaluator(m)
-    return ev.evaluate(state, agent, f, mode)
-
-
-def extension(m: Structure, agent: int, f, mode: EvalMode,
-              evaluator: Evaluator = None) -> frozenset:
-    """All states where f holds according to ``agent`` under ``mode``."""
-    ev = evaluator if evaluator is not None else Evaluator(m)
-    return ev.extension(agent, f, mode)
-
-
-def common_belief_set(m: Structure, group, f, mode: EvalMode,
-                      outer: int = 1, evaluator: Evaluator = None) -> frozenset:
-    """States where the group commonly believes f."""
-    ev = evaluator if evaluator is not None else Evaluator(m)
-    return ev.common_belief_set(group, f, mode, outer)
-
-
-def eb_k(m: Structure, group, f, k: int, mode: EvalMode,
-         outer: int = 1, evaluator: Evaluator = None) -> frozenset:
-    """Extension of the k-fold "everybody believes", the finite oracle for
-    common belief."""
-    ev = evaluator if evaluator is not None else Evaluator(m)
-    return ev.eb_k(group, f, k, mode, outer)
 
 
 def valid_in_model(m: Structure, f, mode: EvalMode) -> Report:

@@ -8,7 +8,9 @@ state space and per-state propositional signal formulas describing the
 cells.
 
 All arithmetic is exact; floating point is rejected in structure files.
-Structures are immutable after construction and safe to share.
+Structures are immutable after construction and safe to share.  Formulas,
+conditioning events and belief edges are evaluated by
+``semantics.Evaluator``; this module reads only propositional formulas.
 """
 
 from __future__ import annotations
@@ -26,19 +28,16 @@ from .errors import (
     ModePrereqMissing,
     NotMeasurable,
     NotPropositional,
-    UndefinedConditional,
     UnknownAgent,
     UnknownProp,
     UnknownState,
 )
-from .modes import EvalMode
 from .reporting import Report
 
 __all__ = [
     "CellBeliefs", "Structure",
     "validate_core", "validate_signals", "generate_priors",
-    "prop_extension", "reachable", "belief_edges",
-    "is_common_interpretation", "has_identical_priors",
+    "prop_extension", "reachable", "is_common_interpretation",
     "load_structure", "loads_structure", "structure_from_dict",
     "structure_to_dict", "dump_structure", "dumps_structure",
 ]
@@ -161,6 +160,13 @@ class Structure:
     @property
     def universe(self) -> frozenset:
         return self._universe
+
+    def check_agents(self, *agents) -> None:
+        """Raise ``UnknownAgent`` for the first agent outside 1..n_agents."""
+        for i in agents:
+            if i not in self.agents:
+                raise UnknownAgent("agent %d not in 1..%d"
+                                   % (i, self.n_agents))
 
     def cell_index(self, agent: int, state: str) -> int:
         try:
@@ -433,38 +439,26 @@ def generate_priors(m: Structure) -> dict:
 
 def prop_extension(m: Structure, agent: int, f) -> frozenset:
     """States where a propositional formula holds under one agent's
-    interpretation."""
-    if agent not in m.agents:
-        raise UnknownAgent("agent %d not in 1..%d" % (agent, m.n_agents))
+    interpretation.  The connectives other than negation and conjunction
+    are removed by ``formula.expand`` first."""
+    m.check_agents(agent)
     if not fm.is_propositional(f):
         raise NotPropositional("not a propositional formula: %s"
                                % fm.print_formula(f))
     universe = m.universe
+    reading = m.interpretations[agent]
 
     def ext(g):
         if isinstance(g, fm.Prop):
             try:
-                return m.interpretations[agent][g.name]
+                return reading[g.name]
             except KeyError:
                 raise UnknownProp("proposition %r not declared" % g.name)
         if isinstance(g, fm.Not):
             return universe - ext(g.arg)
-        if isinstance(g, fm.And):
-            return ext(g.left) & ext(g.right)
-        if isinstance(g, fm.Or):
-            return ext(g.left) | ext(g.right)
-        if isinstance(g, fm.Implies):
-            return (universe - ext(g.left)) | ext(g.right)
-        if isinstance(g, fm.Iff):
-            left, right = ext(g.left), ext(g.right)
-            return (left & right) | (universe - left - right)
-        if isinstance(g, fm.TrueF):
-            return universe
-        if isinstance(g, fm.FalseF):
-            return frozenset()
-        raise NotPropositional("not a propositional formula: %r" % (g,))
+        return ext(g.left) & ext(g.right)  # And, the only other node left
 
-    return ext(f)
+    return ext(fm.expand(f, m.props[0]))
 
 
 def reachable(m: Structure, group, state: str) -> frozenset:
@@ -473,9 +467,7 @@ def reachable(m: Structure, group, state: str) -> frozenset:
     group = frozenset(group)
     if not group:
         raise ValueError("group must be nonempty")
-    for i in group:
-        if i not in m.agents:
-            raise UnknownAgent("agent %d not in 1..%d" % (i, m.n_agents))
+    m.check_agents(*group)
     if state not in m.universe:
         raise UnknownState("state %r not declared" % state)
     seen = {state}
@@ -490,76 +482,12 @@ def reachable(m: Structure, group, state: str) -> frozenset:
     return frozenset(seen)
 
 
-def _signal_formula(m: Structure, agent: int, state: str):
-    if m.signals is None:
-        raise MissingSignals("structure declares no signals")
-    sig = m.signals.get(agent, {}).get(state)
-    if sig is None:
-        raise MissingSignals("agent %d has no signal at state %s"
-                             % (agent, state))
-    return sig
-
-
-def conditional_targets(m: Structure, mode: EvalMode, outer: int,
-                        j: int, state: str) -> frozenset:
-    """States that agent ``j`` gives positive posterior mass from ``state``
-    under a signal mode: the prior is conditioned on the reader's
-    interpretation of j's signal there (reader is j itself in the innermost
-    signal mode, the outer agent otherwise)."""
-    if m.priors is None:
-        raise ModePrereqMissing("signal modes need explicit priors")
-    sig = _signal_formula(m, j, state)
-    reader = j if mode is EvalMode.INNERMOST_AI else outer
-    event = prop_extension(m, reader, sig)
-    if m.prior_mass(j, event) == 0:
-        raise UndefinedConditional(j, state, fm.print_formula(sig), event)
-    nu = m.priors[j]
-    return frozenset(s for s in event if nu.get(s, Fraction(0)) > 0)
-
-
-def belief_edges(m: Structure, mode: EvalMode, outer: int, j: int) -> frozenset:
-    """The pairs (state, state') where agent ``j`` considers state' possible.
-
-    In the non-signal modes these are the pairs whose target carries
-    positive mass in the source's cell measure (the union of positive-mass
-    atoms, which for singleton atoms is exactly positive point mass).  In
-    the signal modes the target must carry positive prior mass inside the
-    conditioning event of ``conditional_targets``.
-    """
-    if j not in m.agents:
-        raise UnknownAgent("agent %d not in 1..%d" % (j, m.n_agents))
-    edges = set()
-    if mode.is_ai:
-        for s in m.states:
-            for t in conditional_targets(m, mode, outer, j, s):
-                edges.add((s, t))
-    else:
-        for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-            support = cb.support()
-            for s in cell:
-                for t in support:
-                    edges.add((s, t))
-    return frozenset(edges)
-
-
 def is_common_interpretation(m: Structure) -> bool:
     """True iff all agents interpret every proposition identically."""
     first = m.interpretations[1]
     return all(
         m.interpretations[i].get(p) == first.get(p)
         for i in m.agents for p in m.props
-    )
-
-
-def has_identical_priors(m: Structure) -> bool:
-    """True iff priors are present and all agents share the same one."""
-    if m.priors is None:
-        return False
-    first = m.priors[1]
-    universe = m.states
-    return all(
-        m.priors[i].get(s, Fraction(0)) == first.get(s, Fraction(0))
-        for i in m.agents for s in universe
     )
 
 

@@ -47,19 +47,24 @@ def _ev(m, state, agent, f, mode):
         return (_ev(m, state, agent, f.left, mode)
                 and _ev(m, state, agent, f.right, mode))
     if isinstance(f, fm.ProbGe):
-        j = f.agent
-        value = Fraction(0)
-        for t in f.terms:
-            reader = _reader(mode, agent, j)
-            ext = frozenset(s for s in m.states
-                            if _ev(m, s, reader, t.arg, mode))
-            value += t.coeff * _prob_of(m, mode, agent, j, state, ext)
-        return value >= f.bound
+        return prob_value_brute(m, state, agent, f, mode) >= f.bound
     if isinstance(f, fm.CB):
         bound = len(m.states) * len(f.group) + 1
         return all(_eb(m, state, agent, f.group, f.arg, k, mode)
                    for k in range(1, bound + 1))
     raise TypeError("not a core formula: %r" % (f,))
+
+
+def prob_value_brute(m, state, agent, f, mode):
+    """Left-hand side of the core comparison f at (state, agent)."""
+    j = f.agent
+    value = Fraction(0)
+    for t in f.terms:
+        reader = _reader(mode, agent, j)
+        ext = frozenset(s for s in m.states
+                        if _ev(m, s, reader, t.arg, mode))
+        value += t.coeff * _prob_of(m, mode, agent, j, state, ext)
+    return value
 
 
 def _eb(m, state, agent, group, arg, k, mode):

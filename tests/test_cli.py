@@ -1,10 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
 from ambilogic.cli import main
 from ambilogic.fixtures import m_ai, m_red, m_sig
 from ambilogic.structure import dump_structure, loads_structure
+
+AI_MODEL = str(pathlib.Path(__file__).resolve().parent.parent
+               / "demos" / "models" / "m_ai.json")
 
 
 @pytest.fixture
@@ -79,6 +83,19 @@ def test_eval_signal_mode(ai_path, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+@pytest.mark.parametrize("formula, mode, expected", [
+    ("Pr1(p) = 1/2", "in-ai", ["true", "value = 1/2"]),
+    ("Pr1(p) >= 1", "ou-ai", ["true", "value = 1"]),
+    ("Pr1(p) < 1/2", "ou-ai", ["false", "value = 1"]),
+])
+def test_eval_signal_mode_value(formula, mode, expected, capsys):
+    code = main(["eval", "--model", AI_MODEL, "--formula", formula,
+                 "--state", "a", "--agent", "2", "--mode", mode,
+                 "--show-value"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_eval_trivial_true(red_path, capsys):
     assert main(["eval", "--model", red_path, "--formula", "true",
                  "--state", "w2", "--agent", "2", "--mode", "in"]) == 0
@@ -97,6 +114,20 @@ def test_eval_undefined_conditional_exits_2(tmp_path, capsys):
                  "--state", "w2", "--agent", "1", "--mode", "in-ai"])
     assert code == 2
     assert "prior mass 0" in capsys.readouterr().err
+
+
+def test_eval_missing_prior_exits_1(tmp_path, capsys):
+    with open(AI_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["priors"]["2"]
+    path = tmp_path / "no_prior_2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["eval", "--model", str(path), "--formula", "Pr2(p) >= 1/2",
+                 "--state", "a", "--agent", "1", "--mode", "ou-ai"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "prior-missing for agent 2" in err
+    assert "internal error" not in err
 
 
 def test_eval_bad_formula_exits_2(red_path, capsys):

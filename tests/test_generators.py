@@ -27,6 +27,17 @@ def test_random_structures_pass_core_checks():
         assert len(m.states) <= 5 and m.n_agents <= 3 and len(m.props) <= 3
 
 
+def test_random_structures_reach_the_bounds_past_eight_states():
+    rng = random.Random(5)
+    bounds = GenBounds(max_states=20, max_props=8)
+    sizes = [random_structure(rng, bounds) for _ in range(40)]
+    assert max(len(m.states) for m in sizes) > 8
+    assert max(len(m.props) for m in sizes) > 5
+    for m in sizes:
+        assert validate_core(m).ok
+        assert len(m.states) <= 20 and len(m.props) <= 8
+
+
 def test_random_common_structures_share_interpretation():
     from ambilogic.structure import is_common_interpretation
     rng = random.Random(2)

@@ -21,14 +21,7 @@ from ambilogic.generators import (
     random_structure,
 )
 from ambilogic.modes import EvalMode
-from ambilogic.semantics import (
-    Evaluator,
-    common_belief_set,
-    eb_k,
-    evaluate,
-    extension,
-    valid_in_model,
-)
+from ambilogic.semantics import Evaluator, valid_in_model
 from ambilogic.structure import Structure, singleton_cell
 from ambilogic.transforms import fix_interpretation
 
@@ -41,51 +34,56 @@ ONE = Fraction(1)
 
 def test_outermost_probability_clause():
     m = m_red()
-    assert not evaluate(m, "w1", 1, fm.parse("Pr2(p) >= 1"), OU)
-    assert evaluate(m, "w1", 1, fm.parse("Pr2(p) = 1/2"), OU)
-    assert evaluate(m, "w1", 2, fm.parse("Pr2(p) >= 1"), OU)
+    ev = Evaluator(m)
+    assert not ev.evaluate("w1", 1, fm.parse("Pr2(p) >= 1"), OU)
+    assert ev.evaluate("w1", 1, fm.parse("Pr2(p) = 1/2"), OU)
+    assert ev.evaluate("w1", 2, fm.parse("Pr2(p) >= 1"), OU)
 
 
 def test_innermost_probability_clause():
-    m = m_red()
-    assert evaluate(m, "w1", 1, fm.parse("Pr2(p) >= 1"), IN)
+    assert Evaluator(m_red()).evaluate("w1", 1, fm.parse("Pr2(p) >= 1"), IN)
 
 
 def test_common_belief_examples():
     m = m_red()
-    assert evaluate(m, "w1", 2, fm.parse("CB{1,2} p"), OU)
-    assert not evaluate(m, "w1", 1, fm.parse("CB{1,2} p"), OU)
+    ev = Evaluator(m)
+    assert ev.evaluate("w1", 2, fm.parse("CB{1,2} p"), OU)
+    assert not ev.evaluate("w1", 1, fm.parse("CB{1,2} p"), OU)
 
 
 def test_signal_mode_divergence():
     m = m_ai()
     f = fm.parse("Pr1(p) >= 1")
-    assert evaluate(m, "a", 2, f, OU_AI)
-    assert not evaluate(m, "a", 2, f, IN_AI)
-    assert evaluate(m, "a", 2, fm.parse("Pr1(p) = 1/2"), IN_AI)
+    ev = Evaluator(m)
+    assert ev.evaluate("a", 2, f, OU_AI)
+    assert not ev.evaluate("a", 2, f, IN_AI)
+    assert ev.evaluate("a", 2, fm.parse("Pr1(p) = 1/2"), IN_AI)
 
 
 def test_extension_examples():
     m = m_red()
-    assert extension(m, 1, fm.parse("p"), OU) == frozenset({"w1"})
-    assert extension(m, 1, fm.parse("Pr2(p) = 1/2"), OU) == m.universe
-    assert extension(m, 1, fm.parse("true"), OU) == m.universe
-    assert extension(m, 2, fm.parse("true"), IN) == m.universe
+    ev = Evaluator(m)
+    assert ev.extension(1, fm.parse("p"), OU) == frozenset({"w1"})
+    assert ev.extension(1, fm.parse("Pr2(p) = 1/2"), OU) == m.universe
+    assert ev.extension(1, fm.parse("true"), OU) == m.universe
+    assert ev.extension(2, fm.parse("true"), IN) == m.universe
 
 
 def test_common_belief_set_examples():
     m = m_red()
     p = fm.parse("p")
-    assert common_belief_set(m, {1, 2}, p, OU, outer=2) == m.universe
-    assert common_belief_set(m, {1, 2}, p, IN, outer=1) == frozenset()
-    assert common_belief_set(m, {1, 2}, fm.parse("true"), IN) == m.universe
+    ev = Evaluator(m)
+    assert ev.common_belief_set({1, 2}, p, OU, 2) == m.universe
+    assert ev.common_belief_set({1, 2}, p, IN, 1) == frozenset()
+    assert ev.common_belief_set({1, 2}, fm.parse("true"), IN, 1) == m.universe
 
 
 def test_eb_k_examples():
     m = m_red()
     p = fm.parse("p")
-    assert eb_k(m, {2}, p, 1, IN) == m.universe
-    assert eb_k(m, {1}, p, 1, OU, outer=1) == frozenset({"w1"})
+    ev = Evaluator(m)
+    assert ev.eb_k({2}, p, 1, IN, 1) == m.universe
+    assert ev.eb_k({1}, p, 1, OU, 1) == frozenset({"w1"})
 
 
 def test_eb_k_matches_literal_expansion():
@@ -108,6 +106,43 @@ def test_valid_in_model():
     witness = report.entries[0].context
     assert (witness["state"], witness["agent"]) == ("w2", 1)
     assert valid_in_model(m, fm.parse("true"), IN).ok
+
+
+def test_prob_value_matches_brute_force_oracle():
+    from oracle import prob_value_brute
+    rng = random.Random(31)
+    bounds = GenBounds(max_states=4, max_agents=2, max_props=2)
+    compared = 0
+    for trial in range(40):
+        if trial % 2:
+            m = random_signal_structure(rng, bounds, cross=trial % 4 == 3)
+            modes = (OU_AI, IN_AI)
+        else:
+            m = random_structure(rng, bounds)
+            modes = (OU, IN)
+        ev = Evaluator(m)
+        for f in formula_corpus(rng, m, 4, 3, props=m.props[:2]):
+            if not isinstance(f, fm.ProbGe) or any(
+                    isinstance(g, fm.CB) for g in fm.subformulas(f)):
+                continue
+            for s in m.states:
+                for i in m.agents:
+                    for mode in modes:
+                        try:
+                            value = ev.prob_value(s, i, f, mode)
+                        except UndefinedConditional:
+                            continue
+                        assert value == prob_value_brute(m, s, i, f, mode)
+                        assert (value >= f.bound) == ev.evaluate(s, i, f, mode)
+                        compared += 1
+    assert compared >= 200, compared
+
+
+def test_prob_value_rejects_other_formulas():
+    with pytest.raises(ValueError):
+        Evaluator(m_red()).prob_value("w1", 1, fm.parse("p"), OU)
+    assert Evaluator(m_red()).prob_value(
+        "w1", 1, fm.parse("B2 p"), OU) == HALF
 
 
 def test_innermost_truth_is_agent_independent():
@@ -170,41 +205,45 @@ def test_truth_does_not_entail_belief():
         beliefs={1: (singleton_cell(cell, {"w1": HALF, "w2": HALF}),)},
         interpretations={1: {"p": frozenset({"w1"})}},
     )
-    assert evaluate(m, "w1", 1, fm.parse("p"), IN)
-    assert not evaluate(m, "w1", 1, fm.parse("B1 p"), IN)
+    ev = Evaluator(m)
+    assert ev.evaluate("w1", 1, fm.parse("p"), IN)
+    assert not ev.evaluate("w1", 1, fm.parse("B1 p"), IN)
 
 
 def test_unnormalized_masses_never_leak():
     # with all arguments "true" the comparison reduces to plain arithmetic
     # on the coefficient sum
     m = m_red()
-    assert evaluate(m, "w1", 1,
-                    fm.parse("1/2*Pr2(true) + 1/3*Pr2(true) >= 5/6"), OU)
-    assert not evaluate(m, "w1", 1,
-                        fm.parse("1/2*Pr2(true) + 1/3*Pr2(true) >= 6/7"), OU)
+    ev = Evaluator(m)
+    assert ev.evaluate("w1", 1,
+                       fm.parse("1/2*Pr2(true) + 1/3*Pr2(true) >= 5/6"), OU)
+    assert not ev.evaluate("w1", 1,
+                           fm.parse("1/2*Pr2(true) + 1/3*Pr2(true) >= 6/7"),
+                           OU)
 
 
 def test_common_mode_requires_common_interpretation():
     with pytest.raises(ModePrereqMissing):
-        evaluate(m_red(), "w1", 1, fm.parse("p"), COMMON)
-    assert evaluate(m_ck(), "w1", 1, fm.parse("!p | p"), COMMON)
+        Evaluator(m_red()).evaluate("w1", 1, fm.parse("p"), COMMON)
+    assert Evaluator(m_ck()).evaluate("w1", 1, fm.parse("!p | p"), COMMON)
 
 
 def test_indexed_props_only_in_common_mode():
     from ambilogic.translation import lift_to_indexed
-    lifted = lift_to_indexed(m_red())
-    assert evaluate(lifted, "w1", 1, fm.parse("p@1"), COMMON)
-    assert evaluate(lifted, "w2", 2, fm.parse("p@2"), COMMON)
+    ev = Evaluator(lift_to_indexed(m_red()))
+    assert ev.evaluate("w1", 1, fm.parse("p@1"), COMMON)
+    assert ev.evaluate("w2", 2, fm.parse("p@2"), COMMON)
     with pytest.raises(ModePrereqMissing):
-        evaluate(lifted, "w1", 1, fm.parse("p@1"), OU)
+        ev.evaluate("w1", 1, fm.parse("p@1"), OU)
 
 
 def test_ai_modes_require_priors_and_signals():
     with pytest.raises(MissingSignals):
-        evaluate(m_red(), "w1", 1, fm.parse("Pr1(p) >= 1"), IN_AI)
+        Evaluator(m_red()).evaluate("w1", 1, fm.parse("Pr1(p) >= 1"), IN_AI)
     no_priors = m_sig().replace(priors=None)
     with pytest.raises(ModePrereqMissing):
-        evaluate(no_priors, "w1", 1, fm.parse("Pr1(p) >= 1"), IN_AI)
+        Evaluator(no_priors).evaluate("w1", 1, fm.parse("Pr1(p) >= 1"),
+                                      IN_AI)
 
 
 def test_outermost_ai_rejects_broken_cross_reading():
@@ -214,10 +253,11 @@ def test_outermost_ai_rejects_broken_cross_reading():
         2: {"p": m.interpretations[2]["p"], "s": frozenset({"w1", "w2"})},
     })
     f = fm.parse("Pr1(p) >= 1")
+    ev = Evaluator(broken)
     with pytest.raises(ModePrereqMissing):
-        evaluate(broken, "w1", 2, f, OU_AI)
+        ev.evaluate("w1", 2, f, OU_AI)
     # innermost signal mode only needs the owner-side checks, which still hold
-    assert isinstance(evaluate(broken, "w1", 2, f, IN_AI), bool)
+    assert isinstance(ev.evaluate("w1", 2, f, IN_AI), bool)
 
 
 def test_zero_prior_cell_rejected_on_touch():
@@ -226,23 +266,24 @@ def test_zero_prior_cell_rejected_on_touch():
         1: {"w1": ONE, "w2": Fraction(0)},
         2: {"w1": HALF, "w2": HALF},
     })
+    ev = Evaluator(skewed)
     # agent 1's signal at w2 denotes {w2}, prior mass 0
     with pytest.raises(UndefinedConditional):
-        evaluate(skewed, "w2", 1, fm.parse("Pr1(p) >= 1"), IN_AI)
+        ev.evaluate("w2", 1, fm.parse("Pr1(p) >= 1"), IN_AI)
     # but queries about agent 2 alone stay fine
-    assert evaluate(skewed, "w1", 1, fm.parse("Pr2(p) >= 1"), IN_AI)
+    assert ev.evaluate("w1", 1, fm.parse("Pr2(p) >= 1"), IN_AI)
 
 
 def test_query_validation_errors():
-    m = m_red()
+    ev = Evaluator(m_red())
     with pytest.raises(UnknownProp):
-        evaluate(m, "w1", 1, fm.parse("zzz"), OU)
+        ev.evaluate("w1", 1, fm.parse("zzz"), OU)
     with pytest.raises(UnknownAgent):
-        evaluate(m, "w1", 1, fm.parse("Pr3(p) >= 1"), OU)
+        ev.evaluate("w1", 1, fm.parse("Pr3(p) >= 1"), OU)
     with pytest.raises(UnknownAgent):
-        evaluate(m, "w1", 9, fm.parse("p"), OU)
+        ev.evaluate("w1", 9, fm.parse("p"), OU)
     with pytest.raises(UnknownState):
-        evaluate(m, "zz", 1, fm.parse("p"), OU)
+        ev.evaluate("zz", 1, fm.parse("p"), OU)
 
 
 def test_expand_preserves_evaluation():
@@ -285,24 +326,16 @@ def test_propositional_truth_ignores_the_mode():
 def test_inai_successors_constant_on_cells():
     # after the signal checks pass, an agent's conditioning event under his
     # own reading is his cell, so successor sets agree within a cell
-    from ambilogic.structure import belief_edges, validate_signals
+    from ambilogic.structure import validate_signals
     for m in (m_sig(), m_ai()):
         assert validate_signals(m).ok
         for j in m.agents:
-            edges = belief_edges(m, IN_AI, 1, j)
+            edges = Evaluator(m).belief_edges(j, IN_AI, 1)
             succ = {}
             for a, b in edges:
                 succ.setdefault(a, set()).add(b)
             for cell in m.partitions[j]:
                 assert len({frozenset(succ.get(s, set())) for s in cell}) == 1
-
-
-def test_eval_query_wrapper():
-    from ambilogic.semantics import EvalQuery
-    q = EvalQuery(m_red(), "w1", 1, fm.parse("Pr2(p) = 1/2"), OU)
-    assert q.run() is True
-    desc = q.describe()
-    assert desc["mode"] == "ou" and desc["state"] == "w1"
 
 
 def test_cb_saturation_against_eb_chain():

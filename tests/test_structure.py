@@ -15,13 +15,12 @@ from ambilogic.errors import (
 )
 from ambilogic.fixtures import m_ai, m_red, m_sig
 from ambilogic.modes import EvalMode
+from ambilogic.semantics import Evaluator
 from ambilogic.structure import (
     CellBeliefs,
     Structure,
-    belief_edges,
     dumps_structure,
     generate_priors,
-    has_identical_priors,
     is_common_interpretation,
     loads_structure,
     prop_extension,
@@ -80,13 +79,12 @@ def test_coarse_algebra_blocks_cross_agent_events_only_at_eval():
     # agent 1's trivial algebra satisfies every core check when he reads p
     # as his whole cell, yet agent 2's finer reading of p is not measurable
     # for him, which only surfaces when an outermost query needs it
-    from ambilogic.modes import EvalMode
-    from ambilogic.semantics import evaluate
     m = coarse_atom_structure(p_ext_1=frozenset({"w1", "w2"}))
     assert validate_core(m).ok
-    assert evaluate(m, "w1", 1, fm.parse("Pr1(p) >= 1"), EvalMode.OUTERMOST)
+    ev = Evaluator(m)
+    assert ev.evaluate("w1", 1, fm.parse("Pr1(p) >= 1"), EvalMode.OUTERMOST)
     with pytest.raises(NotMeasurable):
-        evaluate(m, "w1", 2, fm.parse("Pr1(p) >= 1/2"), EvalMode.OUTERMOST)
+        ev.evaluate("w1", 2, fm.parse("Pr1(p) >= 1/2"), EvalMode.OUTERMOST)
 
 
 def test_validate_core_flags_unmeasurable_other_cell():
@@ -238,17 +236,17 @@ def test_reachable_monotone_and_idempotent():
 def test_belief_edges_plain_modes():
     m = m_red()
     complete = {(a, b) for a in ("w1", "w2") for b in ("w1", "w2")}
-    assert belief_edges(m, EvalMode.INNERMOST, 1, 2) == complete
-    assert belief_edges(m, EvalMode.OUTERMOST, 1, 1) == {
+    assert Evaluator(m).belief_edges(2, EvalMode.INNERMOST, 1) == complete
+    assert Evaluator(m).belief_edges(1, EvalMode.OUTERMOST, 1) == {
         ("w1", "w1"), ("w2", "w2")}
 
 
 def test_belief_edges_signal_modes():
     m = m_ai()
-    assert belief_edges(m, EvalMode.OUTERMOST_AI, 2, 1) == {
+    assert Evaluator(m).belief_edges(1, EvalMode.OUTERMOST_AI, 2) == {
         ("a", "a"), ("b", "b")}
     complete = {(a, b) for a in ("a", "b") for b in ("a", "b")}
-    assert belief_edges(m, EvalMode.INNERMOST_AI, 1, 1) == complete
+    assert Evaluator(m).belief_edges(1, EvalMode.INNERMOST_AI, 1) == complete
 
 
 def test_belief_edges_undefined_conditional():
@@ -259,7 +257,7 @@ def test_belief_edges_undefined_conditional():
     })
     # agent 2 reads agent 1's signal at b as {b}, which has prior mass 0
     with pytest.raises(UndefinedConditional):
-        belief_edges(skewed, EvalMode.OUTERMOST_AI, 2, 1)
+        Evaluator(skewed).belief_edges(1, EvalMode.OUTERMOST_AI, 2)
 
 
 def test_cell_constancy_of_edges():
@@ -267,7 +265,7 @@ def test_cell_constancy_of_edges():
     for m in (m_red(), m_sig(), m_ai()):
         for mode in (EvalMode.INNERMOST, EvalMode.OUTERMOST):
             for j in m.agents:
-                edges = belief_edges(m, mode, 1, j)
+                edges = Evaluator(m).belief_edges(j, mode, 1)
                 succ = {}
                 for a, b in edges:
                     succ.setdefault(a, set()).add(b)
@@ -284,17 +282,6 @@ def test_is_common_interpretation():
         2: dict(m.interpretations[1]),
     })
     assert is_common_interpretation(shared)
-
-
-def test_has_identical_priors():
-    m = m_red()
-    assert not has_identical_priors(m)
-    assert has_identical_priors(m.replace(priors=generate_priors(m)))
-    lopsided = m.replace(priors={
-        1: {"w1": ONE, "w2": Fraction(0)},
-        2: {"w1": HALF, "w2": HALF},
-    })
-    assert not has_identical_priors(lopsided)
 
 
 # --- serialization ---

@@ -8,7 +8,7 @@ from ambilogic.errors import AlreadyIndexed
 from ambilogic.fixtures import m_ck, m_red
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
-from ambilogic.semantics import evaluate
+from ambilogic.semantics import Evaluator
 from ambilogic.translation import (
     lift_to_indexed,
     translate_in,
@@ -90,14 +90,14 @@ def test_theorem2_on_m_red():
 def test_theorem2_propositional_corpus_reduces_to_interpretation():
     from ambilogic.structure import prop_extension
     m = m_red()
-    lifted = lift_to_indexed(m)
+    ev = Evaluator(lift_to_indexed(m))
     for text in ("p", "!p", "p & p"):
         f = fm.parse(text)
         for i in m.agents:
             t_in = translate_in(f, i, "p")
             pointwise = prop_extension(m, i, f)
             for s in m.states:
-                assert evaluate(lifted, s, 1, t_in, EvalMode.COMMON) \
+                assert ev.evaluate(s, 1, t_in, EvalMode.COMMON) \
                     == (s in pointwise)
 
 
@@ -152,9 +152,9 @@ def test_naive_translation_differs_on_handmade_model():
         },
     )
     f = fm.CB(frozenset({1, 2}), fm.Prop("p"))
-    lifted = lift_to_indexed(m)
+    ev = Evaluator(lift_to_indexed(m))
     good = translate_in(f, 1)
     naive = translate_in_naive(f, 1)
-    left = evaluate(m, "w1", 1, f, EvalMode.INNERMOST)
-    assert evaluate(lifted, "w1", 1, good, EvalMode.COMMON) == left
-    assert evaluate(lifted, "w1", 1, naive, EvalMode.COMMON) != left
+    left = Evaluator(m).evaluate("w1", 1, f, EvalMode.INNERMOST)
+    assert ev.evaluate("w1", 1, good, EvalMode.COMMON) == left
+    assert ev.evaluate("w1", 1, naive, EvalMode.COMMON) != left
