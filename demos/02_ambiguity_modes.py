@@ -8,10 +8,17 @@ used for agent 2's belief.
 Run with:  python3 demos/02_ambiguity_modes.py
 """
 
-from ambilogic import EvalMode, Evaluator, parse, valid_in_model
-from ambilogic.fixtures import m_red
+from pathlib import Path
 
-m = m_red()
+from ambilogic import (
+    EvalMode,
+    Evaluator,
+    load_structure,
+    parse,
+    valid_in_model,
+)
+
+m = load_structure(Path(__file__).resolve().parent / "models" / "m_red.json")
 ev = Evaluator(m)
 OU, IN = EvalMode.OUTERMOST, EvalMode.INNERMOST
 

@@ -9,17 +9,19 @@ signal mode she correctly models his ignorance.
 Run with:  python3 demos/03_signal_conditioning.py
 """
 
+from pathlib import Path
+
 from ambilogic import (
     EvalMode,
     Evaluator,
+    load_structure,
     parse,
     print_formula,
     validate_core,
     validate_signals,
 )
-from ambilogic.fixtures import m_ai
 
-m = m_ai()
+m = load_structure(Path(__file__).resolve().parent / "models" / "m_ai.json")
 OU_AI, IN_AI = EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI
 
 print("core checks:", validate_core(m))

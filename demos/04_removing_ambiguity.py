@@ -7,20 +7,21 @@ that equivalence on a concrete formula corpus.
 Run with:  python3 demos/04_removing_ambiguity.py
 """
 
+from pathlib import Path
+
 from ambilogic import (
-    StateMap,
     TransformClaim,
     disjoint_copies,
     fix_interpretation,
     generate_priors,
     label_partitions,
+    load_structure,
     parse,
     verify_transform_equivalence,
 )
-from ambilogic.fixtures import m_ck, m_red
 from ambilogic.structure import is_common_interpretation
 
-m = m_red()
+m = load_structure(Path(__file__).resolve().parent / "models" / "m_red.json")
 corpus = [parse(t) for t in
           ("p", "B2 p", "CB{1,2} p", "Pr2(p) >= 1/2", "!p & B1 p")]
 
@@ -28,7 +29,7 @@ print("== 1. stamp one agent's interpretation onto everyone ==")
 fixed = fix_interpretation(m, 1)
 print("common interpretation now:", is_common_interpretation(fixed))
 report = verify_transform_equivalence(
-    m, fixed, StateMap({s: (s, None) for s in m.states}), corpus,
+    m, fixed, None, corpus,
     TransformClaim("fix-interpretation", agent=1))
 print("outermost-by-1 matches common evaluation everywhere:", report.ok)
 print()
@@ -44,13 +45,11 @@ print("by the tag agent at the source state:", report.ok)
 print()
 
 print("== 3. label the cells with fresh signal propositions ==")
-common = m_ck()
-labelled, fresh = label_partitions(common, "w1")
+labelled, fresh = label_partitions(fixed, "w1")
 print("fresh propositions:",
       {name: (agent, sorted(cell)) for name, (agent, cell) in fresh.items()})
 report = verify_transform_equivalence(
-    common, labelled, None, corpus,
-    TransformClaim("label-partitions", base_state="w1"))
+    fixed, labelled, None, corpus, TransformClaim("label-partitions"))
 print("evaluation of the original vocabulary is unchanged:", report.ok)
 print()
 

@@ -9,10 +9,13 @@ ambiguous modes in the original.
 Run with:  python3 demos/05_indexed_language.py
 """
 
+from pathlib import Path
+
 from ambilogic import (
     EvalMode,
     Evaluator,
     lift_to_indexed,
+    load_structure,
     parse,
     print_formula,
     translate_in,
@@ -20,9 +23,8 @@ from ambilogic import (
     translate_ou,
     verify_theorem2,
 )
-from ambilogic.fixtures import m_red
 
-m = m_red()
+m = load_structure(Path(__file__).resolve().parent / "models" / "m_red.json")
 lifted = lift_to_indexed(m)
 print("lifted propositions:", lifted.props)
 for name in lifted.props:

@@ -19,7 +19,6 @@ from .errors import (
     ModePrereqMissing,
     NotCommonInterpretation,
     NotMeasurable,
-    NotPropositional,
     UndefinedConditional,
     UnknownAgent,
     UnknownProp,
@@ -59,7 +58,6 @@ from .structure import (
     is_common_interpretation,
     load_structure,
     loads_structure,
-    prop_extension,
     reachable,
     singleton_cell,
     structure_from_dict,

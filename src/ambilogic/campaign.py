@@ -35,7 +35,6 @@ from .transforms import (
     disjoint_copies,
     fix_interpretation,
     label_partitions,
-    StateMap,
     verify_transform_equivalence,
 )
 from .translation import verify_theorem2
@@ -123,7 +122,7 @@ def _check_thm1_ab(rng, bounds, _hook):
     fixed = fix_interpretation(m, agent)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth)
     report = verify_transform_equivalence(
-        m, fixed, StateMap({s: (s, None) for s in m.states}), corpus,
+        m, fixed, None, corpus,
         TransformClaim("fix-interpretation", agent=agent))
     return report.ok, None if report.ok else _counterexample(m, report)
 
@@ -144,7 +143,7 @@ def _check_thm1_da(rng, bounds, _hook):
     corpus = formula_corpus(rng, m, 4, bounds.max_depth, props=m.props)
     report = verify_transform_equivalence(
         m, labelled, None, corpus,
-        TransformClaim("label-partitions", base_state=state))
+        TransformClaim("label-partitions"))
     if not validate_core(labelled).ok or not validate_signals(labelled).ok:
         return False, _counterexample(labelled, None,
                                       {"reason": "labelled structure invalid"})

@@ -34,10 +34,6 @@ class UnknownState(AmbilogicError):
     """A query names a state the structure does not declare."""
 
 
-class NotPropositional(AmbilogicError):
-    """A purely propositional formula was required."""
-
-
 class MissingSignals(AmbilogicError):
     """An operation needs per-state signal formulas but none are present."""
 

@@ -1,5 +1,8 @@
 """Truth evaluation under the five modes; ``Evaluator`` is the only code
-that evaluates formulas, and its methods are the evaluation API.
+that evaluates formulas, and its methods are the evaluation API.  It is
+also the only reader of propositional formulas: a query's arguments, the
+signals that condition the "-ai" modes, and ``structure.validate_signals``'s
+readings all go through ``_ext_core``.
 
 The judgment is "formula f holds at state w according to agent i".  All
 modes share the clauses for propositions (the interpreting agent's
@@ -46,15 +49,13 @@ from .errors import (
 )
 from .modes import EvalMode
 from .reporting import Report
-from .structure import (
-    Structure,
-    is_common_interpretation,
-    prop_extension,
-    validate_signals,
-    _A5_KINDS,
-)
+from .structure import Structure, is_common_interpretation, validate_signals
 
 __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
+
+# Signal violations that block the innermost signal mode; the outermost one
+# needs every signal check to pass.
+_A5_KINDS = {"signal-missing", "signal-not-propositional", "signal-cell"}
 
 
 class Evaluator:
@@ -340,7 +341,8 @@ class Evaluator:
         key = (j, sig, reader)
         got = self._sig_event.get(key)
         if got is None:
-            event = prop_extension(m, reader, sig)
+            event = self._ext_core(reader, self._expand(sig),
+                                   EvalMode.OUTERMOST)
             nu = m.priors[j]
             support = frozenset(s for s in event
                                 if nu.get(s, Fraction(0)) > 0)
@@ -366,11 +368,7 @@ class Evaluator:
                 m.prior_mass(j, target & event) == mass))
         out = set()
         for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-            if cb._point is not None:
-                ok = cb.believes(target)
-            else:
-                ok = cb.measure(target & cell) == 1
-            if ok:
+            if cb.believes(target & cell):
                 out |= cell
         return frozenset(out)
 

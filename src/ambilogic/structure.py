@@ -8,9 +8,10 @@ state space and per-state propositional signal formulas describing the
 cells.
 
 All arithmetic is exact; floating point is rejected in structure files.
-Structures are immutable after construction and safe to share.  Formulas,
-conditioning events and belief edges are evaluated by
-``semantics.Evaluator``; this module reads only propositional formulas.
+Structures are immutable after construction and safe to share.  This
+module evaluates no formulas: formulas, conditioning events and belief
+edges are evaluated by ``semantics.Evaluator``, and ``validate_signals``
+asks it for each signal's reading.
 """
 
 from __future__ import annotations
@@ -27,17 +28,16 @@ from .errors import (
     ModelFormatError,
     ModePrereqMissing,
     NotMeasurable,
-    NotPropositional,
     UnknownAgent,
-    UnknownProp,
     UnknownState,
 )
+from .modes import EvalMode
 from .reporting import Report
 
 __all__ = [
     "CellBeliefs", "Structure",
     "validate_core", "validate_signals", "generate_priors",
-    "prop_extension", "reachable", "is_common_interpretation",
+    "reachable", "is_common_interpretation",
     "load_structure", "loads_structure", "structure_from_dict",
     "structure_to_dict", "dump_structure", "dumps_structure",
 ]
@@ -77,9 +77,11 @@ class CellBeliefs:
         return self._support
 
     def believes(self, event: frozenset) -> bool:
-        """Mass-one test; equivalent to ``measure(event & states) == 1``
-        whenever that measure is defined."""
-        return self._support <= event
+        """Mass-one test of an event inside the cell: by the support when
+        point masses are cached, by ``measure(event) == 1`` otherwise."""
+        if self._point is not None:
+            return self._support <= event
+        return self.measure(event) == 1
 
     def measure(self, event: frozenset) -> Fraction:
         """Mass of ``event``; the event must be a union of atoms."""
@@ -332,9 +334,14 @@ def validate_signals(m: Structure) -> Report:
     extensions under the other agent's interpretation must form a partition
     of the state space containing each state in its own signal's extension
     (this stronger condition is what outermost signal semantics relies on).
+    Each signal is read through ``Evaluator.extension``, as a query's
+    propositional arguments are.
     """
+    from .semantics import Evaluator  # semantics imports this module
+
     if m.signals is None:
         raise MissingSignals("structure declares no signals")
+    ev = Evaluator(m)
     report = Report()
     readings = {}  # signal -> {reader: frozenset}, None if not propositional
     exts = {}  # (owner, state) -> that state's signal's readings
@@ -350,7 +357,8 @@ def validate_signals(m: Structure) -> Report:
             reading = readings.get(sig, False)
             if reading is False:
                 reading = readings[sig] = (
-                    {j: prop_extension(m, j, sig) for j in m.agents}
+                    {j: ev.extension(j, sig, EvalMode.OUTERMOST)
+                     for j in m.agents}
                     if fm.is_propositional(sig) else None)
             if reading is None:
                 report.add("signal-not-propositional",
@@ -404,9 +412,6 @@ def validate_signals(m: Structure) -> Report:
     return report
 
 
-_A5_KINDS = {"signal-missing", "signal-not-propositional", "signal-cell"}
-
-
 def generate_priors(m: Structure) -> dict:
     """Derive per-agent priors whose cell conditionals reproduce the beliefs.
 
@@ -436,30 +441,6 @@ def generate_priors(m: Structure) -> dict:
 
 
 # --- Queries ---
-
-def prop_extension(m: Structure, agent: int, f) -> frozenset:
-    """States where a propositional formula holds under one agent's
-    interpretation.  The connectives other than negation and conjunction
-    are removed by ``formula.expand`` first."""
-    m.check_agents(agent)
-    if not fm.is_propositional(f):
-        raise NotPropositional("not a propositional formula: %s"
-                               % fm.print_formula(f))
-    universe = m.universe
-    reading = m.interpretations[agent]
-
-    def ext(g):
-        if isinstance(g, fm.Prop):
-            try:
-                return reading[g.name]
-            except KeyError:
-                raise UnknownProp("proposition %r not declared" % g.name)
-        if isinstance(g, fm.Not):
-            return universe - ext(g.arg)
-        return ext(g.left) & ext(g.right)  # And, the only other node left
-
-    return ext(fm.expand(f, m.props[0]))
-
 
 def reachable(m: Structure, group, state: str) -> frozenset:
     """States linked to ``state`` by chains through the cells of agents in
@@ -672,16 +653,18 @@ def structure_to_dict(m: Structure) -> dict:
                 })
         beliefs[str(i)] = cells
     data["beliefs"] = beliefs
+    # An agent missing from priors or signals stays missing, for
+    # validation to report.
     if m.priors is not None:
         data["priors"] = {
             str(i): {s: str(v) for s, v in sorted(m.priors[i].items())}
-            for i in m.agents
+            for i in m.agents if i in m.priors
         }
     if m.signals is not None:
         data["signals"] = {
             str(i): {s: fm.print_formula(sig)
                      for s, sig in sorted(m.signals[i].items())}
-            for i in m.agents
+            for i in m.agents if i in m.signals
         }
     return data
 

@@ -62,7 +62,6 @@ class TransformClaim:
 
     kind: str  # "fix-interpretation" | "disjoint-copies" | "label-partitions"
     agent: int = None
-    base_state: str = None
 
 
 def fix_interpretation(m: Structure, agent: int) -> Structure:
@@ -226,7 +225,8 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
 
     Every mismatch becomes a report entry holding the full query context;
     an empty report means the claimed equivalence held for every formula at
-    every relevant (state, agent) pair.
+    every relevant (state, agent) pair.  ``state_map`` is read only by the
+    ``disjoint-copies`` claim; pass None for the others.
     """
     report = Report()
     ev_orig = Evaluator(m)

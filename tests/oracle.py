@@ -1,6 +1,7 @@
 """Independent brute-force evaluator used to re-derive expected values.
 
-Direct clause-by-clause recursion: no memoization, no reachability pass.
+Direct clause-by-clause recursion: no memoization, no reachability pass,
+and no evaluation code from the package (signals are read by ``_ev`` too).
 Common belief is checked as the conjunction of the iterated "everybody
 believes" up to the saturation bound |states| * |group| + 1, each level
 computed by literally unfolding the belief operator.  Exponential, so only
@@ -10,7 +11,6 @@ for very small structures.
 from fractions import Fraction
 
 from ambilogic import formula as fm
-from ambilogic.structure import prop_extension
 
 
 def eval_brute(m, state, agent, f, mode):
@@ -22,8 +22,9 @@ def _reader(mode, agent, j):
 
 
 def _conditioning_event(m, mode, agent, j, state):
-    sig = m.signals[j][state]
-    return prop_extension(m, _reader(mode, agent, j), sig)
+    sig = fm.expand(m.signals[j][state], m.props[0])
+    reader = _reader(mode, agent, j)
+    return frozenset(s for s in m.states if _ev(m, s, reader, sig, mode))
 
 
 def _prob_of(m, mode, agent, j, state, ext):

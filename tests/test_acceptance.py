@@ -14,7 +14,6 @@ import pytest
 
 from ambilogic import formula as fm
 from ambilogic.errors import FormulaSyntaxError
-from ambilogic.fixtures import m_ai, m_red, m_sig
 from ambilogic.generators import (
     GenBounds,
     formula_corpus,
@@ -32,7 +31,6 @@ from ambilogic.structure import (
     validate_signals,
 )
 from ambilogic.transforms import (
-    StateMap,
     TransformClaim,
     disjoint_copies,
     fix_interpretation,
@@ -41,6 +39,7 @@ from ambilogic.transforms import (
 )
 from ambilogic.translation import verify_theorem2
 
+from demo_models import m_ai, m_red, m_sig
 from oracle import eval_brute
 
 IN, OU = EvalMode.INNERMOST, EvalMode.OUTERMOST
@@ -114,7 +113,7 @@ def test_criterion_3_transform_claims():
         agent = rng.randint(1, m.n_agents)
         fixed = fix_interpretation(m, agent)
         report = verify_transform_equivalence(
-            m, fixed, StateMap({s: (s, None) for s in m.states}), corpus,
+            m, fixed, None, corpus,
             TransformClaim("fix-interpretation", agent=agent))
         assert report.ok, "fix-interpretation trial %d: %s" % (trial, report)
 
@@ -129,7 +128,7 @@ def test_criterion_3_transform_claims():
         labelled, _ = label_partitions(common, state)
         report = verify_transform_equivalence(
             common, labelled, None, corpus2,
-            TransformClaim("label-partitions", base_state=state))
+            TransformClaim("label-partitions"))
         assert report.ok, "label-partitions trial %d: %s" % (trial, report)
 
 

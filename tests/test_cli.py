@@ -1,27 +1,31 @@
 import json
-import pathlib
 
 import pytest
 
 from ambilogic.cli import main
-from ambilogic.fixtures import m_ai, m_red, m_sig
 from ambilogic.structure import dump_structure, loads_structure
 
-AI_MODEL = str(pathlib.Path(__file__).resolve().parent.parent
-               / "demos" / "models" / "m_ai.json")
+from demo_models import MODELS, m_sig
+
+AI_MODEL = str(MODELS / "m_ai.json")
 
 
 @pytest.fixture
-def red_path(tmp_path):
-    path = tmp_path / "m_red.json"
-    dump_structure(m_red(), path)
-    return str(path)
+def red_path():
+    return str(MODELS / "m_red.json")
 
 
 @pytest.fixture
-def ai_path(tmp_path):
-    path = tmp_path / "m_ai.json"
-    dump_structure(m_ai(), path)
+def ai_path():
+    return AI_MODEL
+
+
+def _ai_model_without(tmp_path, block, agent):
+    with open(AI_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data[block][agent]
+    path = tmp_path / ("no_%s_%s.json" % (block, agent))
+    path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -117,17 +121,28 @@ def test_eval_undefined_conditional_exits_2(tmp_path, capsys):
 
 
 def test_eval_missing_prior_exits_1(tmp_path, capsys):
-    with open(AI_MODEL, encoding="utf-8") as fh:
-        data = json.load(fh)
-    del data["priors"]["2"]
-    path = tmp_path / "no_prior_2.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    code = main(["eval", "--model", str(path), "--formula", "Pr2(p) >= 1/2",
+    path = _ai_model_without(tmp_path, "priors", "2")
+    code = main(["eval", "--model", path, "--formula", "Pr2(p) >= 1/2",
                  "--state", "a", "--agent", "1", "--mode", "ou-ai"])
     assert code == 1
     err = capsys.readouterr().err
     assert "prior-missing for agent 2" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("missing, command, kind", [
+    ("priors", ["fix-interpretation", "--agent", "1"], "prior-missing"),
+    ("signals", ["generate-priors"], "signal-missing"),
+])
+def test_transform_keeps_an_agent_missing(missing, command, kind, tmp_path,
+                                          capsys):
+    model = _ai_model_without(tmp_path, missing, "2")
+    out = str(tmp_path / "out.json")
+    code = main(["transform", *command, "--model", model, "--out", out])
+    assert code == 0, capsys.readouterr().err
+    assert main(["validate", "--model", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert kind in {v["kind"] for v in report["violations"]}
 
 
 def test_eval_bad_formula_exits_2(red_path, capsys):

@@ -4,18 +4,8 @@ import sys
 
 import pytest
 
-from ambilogic.fixtures import m_ai, m_red, m_sig
-from ambilogic.structure import load_structure, structure_to_dict
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
-
-
-def test_demo_models_match_fixtures():
-    for name, factory in (("m_red", m_red), ("m_sig", m_sig),
-                          ("m_ai", m_ai)):
-        loaded = load_structure(ROOT / "demos" / "models" / ("%s.json" % name))
-        assert structure_to_dict(loaded) == structure_to_dict(factory())
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)

@@ -11,6 +11,8 @@ from ambilogic.generators import (
     random_structure,
     random_surface_formula,
 )
+from ambilogic.modes import EvalMode
+from ambilogic.semantics import Evaluator
 from ambilogic.structure import validate_core, validate_signals
 
 
@@ -63,11 +65,12 @@ def test_cross_signal_structures_can_disagree_on_signals():
         m = random_signal_structure(rng, GenBounds(max_agents=3), cross=True)
         if m.n_agents < 2:
             continue
+        ev = Evaluator(m)
         for i in m.agents:
             for s in m.states:
                 sig = m.signals[i][s]
-                from ambilogic.structure import prop_extension
-                exts = {prop_extension(m, j, sig) for j in m.agents}
+                exts = {ev.extension(j, sig, EvalMode.OUTERMOST)
+                        for j in m.agents}
                 if len(exts) > 1:
                     seen_disagreement = True
     assert seen_disagreement

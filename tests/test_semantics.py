@@ -12,7 +12,6 @@ from ambilogic.errors import (
     UnknownProp,
     UnknownState,
 )
-from ambilogic.fixtures import m_ai, m_ck, m_red, m_sig
 from ambilogic.generators import (
     GenBounds,
     formula_corpus,
@@ -24,6 +23,8 @@ from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator, valid_in_model
 from ambilogic.structure import Structure, singleton_cell
 from ambilogic.transforms import fix_interpretation
+
+from demo_models import m_ai, m_ck, m_red, m_sig
 
 OU, IN = EvalMode.OUTERMOST, EvalMode.INNERMOST
 OU_AI, IN_AI = EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI

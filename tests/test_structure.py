@@ -9,11 +9,10 @@ from ambilogic.errors import (
     MissingSignals,
     ModelFormatError,
     NotMeasurable,
-    NotPropositional,
     UndefinedConditional,
     UnknownAgent,
+    UnknownProp,
 )
-from ambilogic.fixtures import m_ai, m_red, m_sig
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator
 from ambilogic.structure import (
@@ -23,13 +22,14 @@ from ambilogic.structure import (
     generate_priors,
     is_common_interpretation,
     loads_structure,
-    prop_extension,
     reachable,
     singleton_cell,
     structure_to_dict,
     validate_core,
     validate_signals,
 )
+
+from demo_models import m_ai, m_red, m_sig
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -165,6 +165,12 @@ def test_validate_signals_rejects_probability_signal():
     assert "signal-not-propositional" in validate_signals(bad).kinds()
 
 
+def test_validate_signals_rejects_undeclared_signal_prop():
+    m = m_sig()
+    with pytest.raises(UnknownProp, match="'s' not declared"):
+        validate_signals(m.replace(props=("p",)))
+
+
 def test_generate_priors_m_red():
     priors = generate_priors(m_red())
     uniform = {"w1": HALF, "w2": HALF}
@@ -205,14 +211,14 @@ def test_generate_priors_requires_core_validity():
         generate_priors(bad)
 
 
-def test_prop_extension():
+def test_propositional_extension():
     m = m_red()
-    assert prop_extension(m, 1, fm.parse("p")) == frozenset({"w1"})
-    assert prop_extension(m, 2, fm.parse("p")) == frozenset({"w1", "w2"})
-    assert prop_extension(m, 1, fm.parse("p & !p")) == frozenset()
-    assert prop_extension(m, 1, fm.parse("true")) == m.universe
-    with pytest.raises(NotPropositional):
-        prop_extension(m, 1, fm.parse("Pr1(p) >= 1"))
+    ev = Evaluator(m)
+    ou = EvalMode.OUTERMOST
+    assert ev.extension(1, fm.parse("p"), ou) == frozenset({"w1"})
+    assert ev.extension(2, fm.parse("p"), ou) == frozenset({"w1", "w2"})
+    assert ev.extension(1, fm.parse("p & !p"), ou) == frozenset()
+    assert ev.extension(1, fm.parse("true"), ou) == m.universe
 
 
 def test_reachable():

@@ -5,7 +5,6 @@ import pytest
 
 from ambilogic import formula as fm
 from ambilogic.errors import ClaimSpecMismatch, NotCommonInterpretation
-from ambilogic.fixtures import m_ck, m_red
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.structure import (
     is_common_interpretation,
@@ -13,7 +12,6 @@ from ambilogic.structure import (
     validate_signals,
 )
 from ambilogic.transforms import (
-    StateMap,
     TransformClaim,
     disjoint_copies,
     fix_interpretation,
@@ -21,12 +19,10 @@ from ambilogic.transforms import (
     verify_transform_equivalence,
 )
 
+from demo_models import m_ck, m_red
+
 CORPUS = [fm.parse("p"), fm.parse("B2 p"), fm.parse("CB{1,2} p"),
           fm.parse("Pr2(p) >= 1/2"), fm.parse("!p & B1 p")]
-
-
-def identity_map(m):
-    return StateMap({s: (s, None) for s in m.states})
 
 
 def test_fix_interpretation_copies_the_chosen_reading():
@@ -51,7 +47,7 @@ def test_fix_interpretation_equivalence_on_m_red():
     for agent in m.agents:
         fixed = fix_interpretation(m, agent)
         report = verify_transform_equivalence(
-            m, fixed, identity_map(m), CORPUS,
+            m, fixed, None, CORPUS,
             TransformClaim("fix-interpretation", agent=agent))
         assert report.ok, str(report)
 
@@ -165,7 +161,7 @@ def test_label_partitions_equivalence():
     labelled, _ = label_partitions(m, "w1")
     report = verify_transform_equivalence(
         m, labelled, None, CORPUS,
-        TransformClaim("label-partitions", base_state="w1"))
+        TransformClaim("label-partitions"))
     assert report.ok, str(report)
 
 
@@ -177,7 +173,7 @@ def test_verifier_catches_corruption():
         2: {"p": frozenset({"w2"})},
     })
     report = verify_transform_equivalence(
-        m, corrupted, identity_map(m), CORPUS,
+        m, corrupted, None, CORPUS,
         TransformClaim("fix-interpretation", agent=1))
     assert not report.ok
     entry = report.entries[0]
@@ -189,14 +185,14 @@ def test_verifier_rejects_inconsistent_claims():
     m = m_red()
     fixed = fix_interpretation(m, 1)
     with pytest.raises(ClaimSpecMismatch):
-        verify_transform_equivalence(m, fixed, identity_map(m), CORPUS,
+        verify_transform_equivalence(m, fixed, None, CORPUS,
                                      TransformClaim("fix-interpretation"))
     with pytest.raises(ClaimSpecMismatch):
         verify_transform_equivalence(
             m, fixed, None, CORPUS, TransformClaim("disjoint-copies"))
     with pytest.raises(ClaimSpecMismatch):
         verify_transform_equivalence(
-            m, fixed, identity_map(m), CORPUS, TransformClaim("nonsense"))
+            m, fixed, None, CORPUS, TransformClaim("nonsense"))
 
 
 def test_transform_equivalences_on_random_structures():
@@ -208,7 +204,7 @@ def test_transform_equivalences_on_random_structures():
         agent = rng.randint(1, m.n_agents)
         fixed = fix_interpretation(m, agent)
         assert verify_transform_equivalence(
-            m, fixed, StateMap({s: (s, None) for s in m.states}), corpus,
+            m, fixed, None, corpus,
             TransformClaim("fix-interpretation", agent=agent)).ok
         copies, state_map = disjoint_copies(m)
         assert verify_transform_equivalence(
@@ -221,4 +217,4 @@ def test_transform_equivalences_on_random_structures():
         labelled, _ = label_partitions(common, state)
         assert verify_transform_equivalence(
             common, labelled, None, corpus2,
-            TransformClaim("label-partitions", base_state=state)).ok
+            TransformClaim("label-partitions")).ok

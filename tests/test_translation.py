@@ -5,7 +5,6 @@ import pytest
 
 from ambilogic import formula as fm
 from ambilogic.errors import AlreadyIndexed
-from ambilogic.fixtures import m_ck, m_red
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator
@@ -16,6 +15,8 @@ from ambilogic.translation import (
     translate_ou,
     verify_theorem2,
 )
+
+from demo_models import m_ck, m_red
 
 
 def test_lift_shape():
@@ -88,14 +89,14 @@ def test_theorem2_on_m_red():
 
 
 def test_theorem2_propositional_corpus_reduces_to_interpretation():
-    from ambilogic.structure import prop_extension
     m = m_red()
     ev = Evaluator(lift_to_indexed(m))
+    ev_orig = Evaluator(m)
     for text in ("p", "!p", "p & p"):
         f = fm.parse(text)
         for i in m.agents:
             t_in = translate_in(f, i, "p")
-            pointwise = prop_extension(m, i, f)
+            pointwise = ev_orig.extension(i, f, EvalMode.OUTERMOST)
             for s in m.states:
                 assert ev.evaluate(s, 1, t_in, EvalMode.COMMON) \
                     == (s in pointwise)
