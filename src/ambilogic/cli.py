@@ -22,6 +22,7 @@ from .errors import (
     ModePrereqMissing,
     MissingSignals,
     NotCommonInterpretation,
+    NotMeasurable,
     UndefinedConditional,
     UnknownAgent,
     UnknownProp,
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UndefinedConditional as exc:
+    except (UndefinedConditional, NotMeasurable) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except _USAGE_ERRORS as exc:

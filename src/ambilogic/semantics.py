@@ -15,28 +15,32 @@ comparison about agent j is read:
   himself (truth is then agent-independent for such formulas);
 * the two signal ("-ai") variants condition j's explicit prior on a
   reader's interpretation of j's current signal formula (the conditioning
-  event, built only by ``_signal_event``) instead of the cell measure;
+  event) instead of the cell measure;
 * common: one shared interpretation, the classical case; this is also the
   only mode in which indexed propositions ``p@i`` may appear.
 
-Every probability value, ``prob_value``'s included, is summed by ``_lhs``.
+Either way j's belief at a state is a probability space: a cell's
+``CellBeliefs``, or j's prior conditioned on the event (``_Conditional``).
+``_spaces`` tabulates them per (agent, reader) and is the only code that
+builds conditioning events; ``_lhs``, ``eb_k``, ``belief_edges`` and common
+belief all read that table.
 
 Common belief is the conjunction of all finite iterations of "everybody in
 the group believes".  It is decided by one backward pass that computes the
-states where it fails as a least fixpoint over each agent's successor
-blocks (a cell support, or a conditioning event in the signal modes), so
-the work is linear in the size of the blocks; common belief is the
-complement, a greatest fixpoint.  In the signal modes a state whose
-conditional is undefined for a group agent has no edges for that agent; the
-pass raises ``UndefinedConditional`` for the first such state (in
-``states`` order) unless common belief fails there anyway.  ``eb_k``
-provides the finite iterations independently as an oracle.
+states where it fails as a least fixpoint over the spaces of the group's
+agents: a space that does not believe the argument fails its states, and a
+failing state fails every space whose support contains it.  The work is
+linear in the size of the supports; common belief is the complement, a
+greatest fixpoint.  In the signal modes a state whose conditional is
+undefined for a group agent has no space for that agent; the pass raises
+``UndefinedConditional`` for the first such state (in ``states`` order)
+unless common belief fails there anyway.  ``eb_k`` provides the finite
+iterations independently as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from . import formula as fm
 from .errors import (
@@ -58,6 +62,34 @@ __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 _A5_KINDS = {"signal-missing", "signal-not-propositional", "signal-cell"}
 
 
+class _Conditional:
+    """Agent j's prior conditioned on an event of positive prior mass: the
+    probability space of the signal modes, with the ``states``,
+    ``support``, ``believes`` and ``measure`` of ``CellBeliefs``.  It keeps
+    the prior's own masses and divides by the event's mass in each
+    ``measure`` call."""
+
+    def __init__(self, prior: dict, event: frozenset, mass: Fraction):
+        self.states = event
+        self._masses = {s: prior[s] for s in event if s in prior}
+        self._mass = mass
+        self._support = frozenset(s for s, v in self._masses.items()
+                                  if v > 0)
+
+    def support(self) -> frozenset:
+        """States of the event that carry positive prior mass."""
+        return self._support
+
+    def believes(self, event: frozenset) -> bool:
+        """Conditional mass-one test: no positive mass outside ``event``."""
+        return self._support <= event
+
+    def measure(self, event: frozenset) -> Fraction:
+        """Conditional mass of ``event``."""
+        return sum((self._masses[s] for s in event if s in self._masses),
+                   Fraction(0)) / self._mass
+
+
 class Evaluator:
     """Memoizing evaluator bound to one structure.
 
@@ -71,8 +103,8 @@ class Evaluator:
         self.m = m
         self._universe = m.universe
         self._ext = {}
-        self._blocks_cache = {}
-        self._sig_event = {}
+        self._tables = {}
+        self._levels = {}
         self._signal_report = None
         self._mode_checked = {}
         self._expanded = {}
@@ -156,16 +188,16 @@ class Evaluator:
         if not isinstance(core, fm.ProbGe):
             raise ValueError("not a probability comparison: %s"
                              % fm.print_formula(f))
-        m = self.m
         j = core.agent
         reader, args = self._prob_args(agent, core, mode)
-        if mode.is_ai:
-            event, mass, _ = self._signal_event(j, state, reader)
-            if mass == 0:
-                raise self._undefined(j, state, event)
-            return self._lhs(args, event, partial(m.prior_mass, j), mass)
-        ci = m.cell_index(j, state)
-        return self._lhs(args, m.partitions[j][ci], m.beliefs[j][ci].measure)
+        spaces, _, undefined = self._spaces(j, mode, reader)
+        if state in undefined:
+            raise self._undefined(j, state, undefined[state])
+        for sources, space in spaces:
+            if state in sources:
+                return self._lhs(args, space)
+        raise UnknownState("state %r not in any cell of agent %d"
+                           % (state, j))
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
@@ -176,9 +208,12 @@ class Evaluator:
     def eb_k(self, group, f, k: int, mode: EvalMode, outer: int) -> frozenset:
         """Extension of the k-fold "everybody in the group believes".
 
-        Computed by iterating the probability-one clause on sets, never by
-        the backward common-belief pass, so it can serve as an independent
-        oracle for ``common_belief_set``.
+        Level 1 is where every group agent's space believes f as that
+        agent's reader reads it, each later level where they all believe
+        the previous one.  Levels are kept per (group, formula, mode,
+        outer), so a chain k = 1, 2, ... computes each once.  Iterating the
+        probability-one clause, never the backward common-belief pass, makes
+        this an independent oracle for ``common_belief_set``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -186,41 +221,31 @@ class Evaluator:
         if not group:
             raise ValueError("group must be nonempty")
         core = self._prepare(f, mode, *group, outer)
-        if mode.innermost_scope:
-            cur = None
-            for level in range(k):
-                if level == 0:
-                    sets = [
-                        self._prob_one_states(
-                            j, self._ext_core(j, core, mode), mode, outer)
-                        for j in group
-                    ]
-                else:
-                    sets = [self._prob_one_states(j, cur, mode, outer)
-                            for j in group]
-                cur = frozenset.intersection(*sets)
-        else:
-            cur = self._ext_core(outer, core, mode)
-            for _ in range(k):
-                cur = frozenset.intersection(
-                    *[self._prob_one_states(j, cur, mode, outer)
-                      for j in group])
-        return cur
+        levels = self._levels.setdefault((group, core, mode, outer), [])
+        while len(levels) < k:
+            sets = []
+            for j in group:
+                reader = j if mode.innermost_scope else outer
+                target = (levels[-1] if levels
+                          else self._ext_core(reader, core, mode))
+                sets.append(self._where(j, mode, reader,
+                                        lambda space: space.believes(target)))
+            levels.append(frozenset.intersection(*sets))
+        return levels[k - 1]
 
     def belief_edges(self, j: int, mode: EvalMode, outer: int) -> frozenset:
         """The pairs (state, state') where agent ``j`` considers state'
-        possible (the edges the common-belief pass walks), read off
-        ``_blocks``; raises for the first state whose conditional is
-        undefined."""
+        possible (the edges the common-belief pass walks): from each state
+        of each of j's spaces to the space's support.  Raises for the first
+        state whose conditional is undefined."""
         self.m.check_agents(j)
         self._require_mode(mode)
         reader = j if mode.innermost_scope else outer
-        blocks, _, undefined = self._blocks(j, reader if mode.is_ai else None)
+        spaces, _, undefined = self._spaces(j, mode, reader)
         if undefined:
-            s = next(iter(undefined))
-            raise self._undefined(j, s, undefined[s])
-        return frozenset((s, t) for succ, sources in blocks
-                         for s in sources for t in succ)
+            raise self._undefined(j, *next(iter(undefined.items())))
+        return frozenset((s, t) for sources, space in spaces
+                         for s in sources for t in space.support())
 
     # -- internals --
 
@@ -278,19 +303,9 @@ class Evaluator:
         return out
 
     def _prob_extension(self, agent: int, f, mode: EvalMode) -> frozenset:
-        m = self.m
-        j = f.agent
         reader, args = self._prob_args(agent, f, mode)
-        if mode.is_ai:
-            measure = partial(m.prior_mass, j)
-            return frozenset(self._event_states(
-                j, reader, lambda event, mass:
-                self._lhs(args, event, measure, mass) >= f.bound))
-        out = set()
-        for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-            if self._lhs(args, cell, cb.measure) >= f.bound:
-                out |= cell
-        return frozenset(out)
+        return self._where(f.agent, mode, reader,
+                           lambda space: self._lhs(args, space) >= f.bound)
 
     def _prob_args(self, agent: int, f, mode: EvalMode) -> tuple:
         """The mode's reader of a comparison's arguments, and each term's
@@ -300,112 +315,74 @@ class Evaluator:
                         for t in f.terms]
 
     @staticmethod
-    def _lhs(args, event: frozenset, measure, mass=1) -> Fraction:
+    def _lhs(args, space) -> Fraction:
         """Left-hand side of a probability comparison: the sum of each
-        coefficient times the ``measure`` of its argument's extension
-        within ``event``, over ``mass``.  The event is a cell with its
-        measure, or a conditioning event with the prior and its mass."""
-        total = sum((coeff * measure(ext & event) for coeff, ext in args),
-                    Fraction(0))
-        return total if mass == 1 else total / mass
+        coefficient times ``space``'s measure of its argument's extension
+        within the space."""
+        return sum((coeff * space.measure(ext & space.states)
+                    for coeff, ext in args), Fraction(0))
 
-    def _event_states(self, j: int, reader: int, holds) -> set:
-        """States whose conditioning event for agent j, as read by
-        ``reader``, satisfies ``holds(event, mass)``.  Each distinct event
-        is tested once; the first state whose event has prior mass 0
-        raises ``UndefinedConditional``."""
-        out = set()
-        verdicts = {}
-        for state in self.m.states:
-            event, mass, _ = self._signal_event(j, state, reader)
-            if mass == 0:
-                raise self._undefined(j, state, event)
-            ok = verdicts.get(event)
-            if ok is None:
-                ok = verdicts[event] = holds(event, mass)
-            if ok:
-                out.add(state)
-        return out
+    def _spaces(self, j: int, mode: EvalMode, reader: int) -> tuple:
+        """Agent j's probability spaces, with j's signals read by
+        ``reader`` in the signal modes.
 
-    def _signal_event(self, j: int, state: str, reader: int) -> tuple:
-        """Agent j's conditioning event at a state as read by ``reader``,
-        with its prior mass and the event's states of positive prior mass.
-
-        Computed once per distinct (agent, signal formula, reader), so
-        states sharing a signal share one event."""
+        Returns ``(spaces, containing, undefined)``.  ``spaces`` lists each
+        space with the states it serves: in the cell modes each cell with
+        its ``CellBeliefs``; in the signal modes each distinct conditioning
+        event with j's prior conditioned on it.  ``containing`` maps a
+        state to the indices of the spaces whose support contains it;
+        ``undefined`` maps each state whose event has prior mass 0 to that
+        event; its first key is the first such state in ``states`` order.
+        Cached per (agent, reader); the reader matters only in the signal
+        modes.
+        """
+        key = (j, reader if mode.is_ai else None)
+        got = self._tables.get(key)
+        if got is not None:
+            return got
         m = self.m
-        sig = m.signals.get(j, {}).get(state)
-        if sig is None:
-            raise MissingSignals("agent %d has no signal at state %s"
-                                 % (j, state))
-        key = (j, sig, reader)
-        got = self._sig_event.get(key)
-        if got is None:
-            event = self._ext_core(reader, self._expand(sig),
-                                   EvalMode.OUTERMOST)
-            nu = m.priors[j]
-            support = frozenset(s for s in event
-                                if nu.get(s, Fraction(0)) > 0)
-            got = self._sig_event[key] = (event, m.prior_mass(j, event),
-                                          support)
+        undefined = {}
+        if mode.is_ai:
+            served = {}
+            for s in m.states:
+                event = self._ext_core(reader, self._expand(m.signals[j][s]),
+                                       EvalMode.OUTERMOST)
+                served.setdefault(event, []).append(s)
+            spaces = []
+            for event, states in served.items():
+                mass = m.prior_mass(j, event)
+                if mass == 0:
+                    undefined.update(dict.fromkeys(states, event))
+                else:
+                    spaces.append((frozenset(states),
+                                   _Conditional(m.priors[j], event, mass)))
+        else:
+            spaces = list(zip(m.partitions[j], m.beliefs[j]))
+        containing = {}
+        for b, (_, space) in enumerate(spaces):
+            for t in space.support():
+                containing.setdefault(t, []).append(b)
+        got = self._tables[key] = (spaces, containing, undefined)
         return got
+
+    def _where(self, j: int, mode: EvalMode, reader: int,
+               holds) -> frozenset:
+        """States served by those of agent j's spaces that satisfy
+        ``holds``; raises for the first state whose conditional is
+        undefined."""
+        spaces, _, undefined = self._spaces(j, mode, reader)
+        if undefined:
+            raise self._undefined(j, *next(iter(undefined.items())))
+        out = set()
+        for sources, space in spaces:
+            if holds(space):
+                out |= sources
+        return frozenset(out)
 
     def _undefined(self, j: int, state: str,
                    event: frozenset) -> UndefinedConditional:
         sig = self.m.signals[j][state]
         return UndefinedConditional(j, state, fm.print_formula(sig), event)
-
-    def _prob_one_states(self, j: int, target: frozenset, mode: EvalMode,
-                         outer: int) -> frozenset:
-        """States where agent j assigns probability one to ``target``,
-        found by comparing masses (the prior mass of ``target`` inside each
-        conditioning event in the signal modes)."""
-        m = self.m
-        if mode.is_ai:
-            reader = j if mode.innermost_scope else outer
-            return frozenset(self._event_states(
-                j, reader, lambda event, mass:
-                m.prior_mass(j, target & event) == mass))
-        out = set()
-        for cell, cb in zip(m.partitions[j], m.beliefs[j]):
-            if cb.believes(target & cell):
-                out |= cell
-        return frozenset(out)
-
-    def _blocks(self, j: int, reader) -> tuple:
-        """Agent j's belief edges grouped by successor set.
-
-        With ``reader`` None the successor set is the cell support (cell
-        modes); otherwise it is the positive-prior part of j's conditioning
-        event as read by ``reader`` (signal modes).  Returns ``(blocks,
-        containing, undefined)``: ``blocks`` lists each distinct successor
-        set with the states it comes from; ``containing`` maps a state to
-        the indices of the blocks that contain it; ``undefined`` maps each
-        state whose conditional is undefined to its event.
-        """
-        key = (j, reader)
-        got = self._blocks_cache.get(key)
-        if got is not None:
-            return got
-        m = self.m
-        sources = {}
-        undefined = {}
-        for s in m.states:
-            if reader is not None:
-                event, mass, succ = self._signal_event(j, s, reader)
-                if mass == 0:
-                    undefined[s] = event
-                    continue
-            else:
-                succ = m.cell_beliefs(j, s).support()
-            sources.setdefault(succ, []).append(s)
-        blocks = list(sources.items())
-        containing = {}
-        for b, (succ, _) in enumerate(blocks):
-            for t in succ:
-                containing.setdefault(t, []).append(b)
-        got = self._blocks_cache[key] = (blocks, containing, undefined)
-        return got
 
     def _cb_set(self, group, f, mode: EvalMode, outer: int) -> frozenset:
         """States where the group's common belief in f holds.
@@ -414,14 +391,17 @@ class Evaluator:
         reachable from w by one or more edges fails the end check: t lies
         outside f as read by the outer agent in the outermost-style modes
         and by j in the innermost-style modes.  The failing states are a
-        least fixpoint, found by one backward pass: first the sources of
-        every j-block not inside f's reading for j; then, each time a state
-        fails, every block containing it fails, and with it the block's
-        sources.  Each block is marked at most once, so the work is linear
-        in the total size of the blocks.
+        least fixpoint, found by one backward pass over the ``_spaces``
+        tables of the group's agents: first the states of every j-space
+        that does not believe f's reading for j (``believes`` is the end
+        check, so a coarse cell that cannot measure that reading raises
+        ``NotMeasurable`` as ``B_j`` does); then, each time a state fails,
+        every space whose support contains it fails, and with it the
+        space's states.  Each space is marked at most once, so the work is
+        linear in the total size of the supports.
 
         A state whose conditional is undefined for a group agent has no
-        edges for that agent.  After the pass, the first such state in
+        space for that agent.  After the pass, the first such state in
         ``states`` order where common belief has not already failed raises
         its ``UndefinedConditional``.
         """
@@ -440,23 +420,22 @@ class Evaluator:
         undefined = {}
         for j in sorted(group):
             reader = j if mode.innermost_scope else outer
-            blocks, containing, undef = self._blocks(
-                j, reader if mode.is_ai else None)
+            spaces, containing, undef = self._spaces(j, mode, reader)
             holds = self._ext_core(reader, f, mode)
-            failed = [not succ <= holds for succ, _ in blocks]
-            for (_, sources), dead in zip(blocks, failed):
+            failed = [not space.believes(holds) for _, space in spaces]
+            for (sources, _), dead in zip(spaces, failed):
                 if dead:
                     fail(sources)
-            graphs.append((blocks, containing, failed))
+            graphs.append((spaces, containing, failed))
             for s, event in undef.items():
                 undefined.setdefault(s, (j, event))
         while stack:
             t = stack.pop()
-            for blocks, containing, failed in graphs:
+            for spaces, containing, failed in graphs:
                 for b in containing.get(t, ()):
                     if not failed[b]:
                         failed[b] = True
-                        fail(blocks[b][1])
+                        fail(spaces[b][0])
         if undefined:
             for s in self.m.states:
                 if s in undefined and s not in bad:

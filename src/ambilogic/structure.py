@@ -77,11 +77,11 @@ class CellBeliefs:
         return self._support
 
     def believes(self, event: frozenset) -> bool:
-        """Mass-one test of an event inside the cell: by the support when
-        point masses are cached, by ``measure(event) == 1`` otherwise."""
+        """Mass-one test of the part of an event inside the cell: by the
+        support when point masses are cached, by its measure otherwise."""
         if self._point is not None:
             return self._support <= event
-        return self.measure(event) == 1
+        return self.measure(event & self.states) == 1
 
     def measure(self, event: frozenset) -> Fraction:
         """Mass of ``event``; the event must be a union of atoms."""
@@ -588,13 +588,16 @@ def structure_from_dict(data: dict) -> Structure:
     raw_signals = agent_map("signals", required=False)
     if raw_signals is not None:
         signals = {}
+        parsed = {}  # states sharing a signal text share one formula
         for i, per_state in raw_signals.items():
             out = {}
             for s, text in per_state.items():
                 if s not in state_set:
                     raise ModelFormatError("signals[%d]: unknown state %r"
                                            % (i, s))
-                out[s] = fm.parse(text)
+                if text not in parsed:
+                    parsed[text] = fm.parse(text)
+                out[s] = parsed[text]
             signals[i] = out
 
     return Structure(
@@ -617,10 +620,6 @@ def load_structure(path) -> Structure:
         return loads_structure(fh.read())
 
 
-def _all_singleton(cb: CellBeliefs) -> bool:
-    return all(len(a) == 1 for a in cb.atoms)
-
-
 def structure_to_dict(m: Structure) -> dict:
     data = {
         "agents": m.n_agents,
@@ -640,7 +639,7 @@ def structure_to_dict(m: Structure) -> dict:
     for i in m.agents:
         cells = []
         for cb in m.beliefs[i]:
-            if _all_singleton(cb):
+            if cb._point is not None:
                 cells.append({"measure": {
                     min(atom): str(mass)
                     for atom, mass in zip(cb.atoms, cb.masses)

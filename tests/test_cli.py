@@ -120,6 +120,18 @@ def test_eval_undefined_conditional_exits_2(tmp_path, capsys):
     assert "prior mass 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formula", ["B1 p", "CB{1} p"])
+def test_eval_not_measurable_exits_2(formula, tmp_path, capsys):
+    from test_structure import coarse_atom_structure
+    path = tmp_path / "coarse.json"
+    dump_structure(coarse_atom_structure(frozenset({"w1", "w2"})), path)
+    code = main(["eval", "--model", str(path), "--formula", formula,
+                 "--state", "w1", "--agent", "2", "--mode", "ou"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cuts across atom" in err
+
+
 def test_eval_missing_prior_exits_1(tmp_path, capsys):
     path = _ai_model_without(tmp_path, "priors", "2")
     code = main(["eval", "--model", path, "--formula", "Pr2(p) >= 1/2",

@@ -442,6 +442,26 @@ def _undefined_for_agent_2():
     )
 
 
+def test_undefined_conditional_raised_by_every_reader():
+    # each reader of agent 2's conditioning events names the same first
+    # undefined (agent, state) pair; a state whose conditional is defined
+    # still gets its value
+    m = _undefined_for_agent_2()
+    p = fm.parse("p")
+    comparison = fm.parse("Pr2(p) >= 1")
+    readers = (
+        lambda ev: ev.extension(1, fm.parse("B2 p"), IN_AI),
+        lambda ev: ev.eb_k({1, 2}, p, 1, IN_AI, 1),
+        lambda ev: ev.belief_edges(2, IN_AI, 1),
+        lambda ev: ev.prob_value("w2", 1, comparison, IN_AI),
+    )
+    for read in readers:
+        with pytest.raises(UndefinedConditional) as info:
+            read(Evaluator(m))
+        assert (info.value.agent, info.value.state) == (2, "w2")
+    assert Evaluator(m).prob_value("w1", 1, comparison, IN_AI) == 1
+
+
 def test_cb_undefined_conditional_at_refuted_state_is_ignored():
     # Agent 1 considers w1 and w2 possible everywhere and reads p as {w1},
     # so common belief in p fails at both states through agent 1; agent 2's

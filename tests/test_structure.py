@@ -87,6 +87,24 @@ def test_coarse_algebra_blocks_cross_agent_events_only_at_eval():
         ev.evaluate("w1", 2, fm.parse("Pr1(p) >= 1/2"), EvalMode.OUTERMOST)
 
 
+def test_coarse_algebra_common_belief_raises_like_belief():
+    # agent 2's reading {w1} of p cuts across agent 1's only atom, so
+    # neither B1 p nor any iteration of it, common belief included, has a
+    # value for agent 2
+    m = coarse_atom_structure(p_ext_1=frozenset({"w1", "w2"}))
+    assert validate_core(m).ok
+    p = fm.parse("p")
+    queries = (
+        lambda ev: ev.extension(2, fm.parse("B1 p"), EvalMode.OUTERMOST),
+        lambda ev: ev.eb_k({1}, p, 1, EvalMode.OUTERMOST, 2),
+        lambda ev: ev.common_belief_set({1}, p, EvalMode.OUTERMOST, 2),
+        lambda ev: ev.extension(2, fm.parse("CB{1} p"), EvalMode.OUTERMOST),
+    )
+    for query in queries:
+        with pytest.raises(NotMeasurable):
+            query(Evaluator(m))
+
+
 def test_validate_core_flags_unmeasurable_other_cell():
     cell = frozenset({"w1", "w2"})
     m = Structure(
