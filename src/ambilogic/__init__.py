@@ -14,6 +14,7 @@ from .errors import (
     ClaimSpecMismatch,
     CoreInvalid,
     FormulaSyntaxError,
+    FormulaTooDeep,
     MissingSignals,
     ModelFormatError,
     ModePrereqMissing,

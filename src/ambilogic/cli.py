@@ -2,7 +2,8 @@
 
 Subcommands: validate, eval, transform, translate, check.  Exit codes:
 0 success, 1 check or validation failure (including transform
-preconditions), 2 usage, parse or input errors, 3 internal errors.
+preconditions), 2 usage, parse or input errors (including a formula nested
+too deeply to parse, print or expand), 3 internal errors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     AmbilogicError,
     CoreInvalid,
     FormulaSyntaxError,
+    FormulaTooDeep,
     ModelFormatError,
     ModePrereqMissing,
     MissingSignals,
@@ -42,8 +44,8 @@ from .structure import (
 from .transforms import disjoint_copies, fix_interpretation, label_partitions
 from .translation import translate_in, translate_ou
 
-_USAGE_ERRORS = (ModelFormatError, FormulaSyntaxError, OSError,
-                 UnknownAgent, UnknownProp, UnknownState, ValueError)
+_USAGE_ERRORS = (ModelFormatError, FormulaSyntaxError, FormulaTooDeep,
+                 OSError, UnknownAgent, UnknownProp, UnknownState, ValueError)
 _FAILURE_ERRORS = (NotCommonInterpretation, CoreInvalid, AlreadyIndexed,
                    ModePrereqMissing, MissingSignals)
 

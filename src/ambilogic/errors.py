@@ -22,6 +22,11 @@ class FormulaSyntaxError(AmbilogicError):
         )
 
 
+class FormulaTooDeep(AmbilogicError):
+    """A formula nests deeper than the recursive parts of the package
+    (parser, printer, abbreviation expansion) support."""
+
+
 class UnknownAgent(AmbilogicError):
     """An agent index is non-positive or outside the structure's 1..n range."""
 

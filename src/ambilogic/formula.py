@@ -15,6 +15,12 @@ disjunction, implication, biconditional, individual belief ``Bj f``
 (probability one), and iterated group belief ``E{..}^k f``.  ``expand``
 removes all abbreviations; ``parse`` and ``print_formula`` convert between
 text and ASTs and are mutually inverse on ASTs.
+
+Formulas are compiled once, on the immutable nodes: a node computes its
+hash and its plan, ``facts``, from its children's when it is built, and
+keeps its expansion once asked.  Every ``Evaluator`` shares them, and a
+DAG costs one step per distinct node.  The printer and ``expand`` recurse
+and refuse formulas nested over ``MAX_DEPTH`` deep (``FormulaTooDeep``).
 """
 
 from __future__ import annotations
@@ -22,45 +28,46 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import partial, reduce
+from typing import NamedTuple, Union
 
-from .errors import FormulaSyntaxError, UnknownAgent
+from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent
 
 __all__ = [
     "Prop", "IndexedProp", "Not", "And", "ProbTerm", "ProbGe", "CB",
     "Or", "Implies", "Iff", "TrueF", "FalseF", "B", "EB",
     "Formula", "SurfaceFormula",
     "parse", "print_formula", "expand", "is_propositional", "subformulas",
-    "propositions", "agents_in",
+    "propositions", "agents_in", "facts", "Facts", "MAX_DEPTH", "check_depth",
 ]
 
 
 # --- AST ---
 
-def _cache_hash(cls):
-    """Wrap the dataclass hash so each node hashes its subtree once."""
-    computed = cls.__hash__
+def _node(cls, facts=True):
+    """Make ``cls`` a frozen dataclass whose instances hash once, and with
+    ``facts`` compute their ``Facts`` once, when built.  Children are built
+    first, so neither recurses however deep a formula nests."""
+    cls = dataclass(frozen=True)(cls)
+    init, field_hash = cls.__init__, cls.__hash__
 
-    def cached(self):
-        try:
-            return object.__getattribute__(self, "_hash_cache")
-        except AttributeError:
-            value = computed(self)
-            object.__setattr__(self, "_hash_cache", value)
-            return value
+    def __init__(self, *args, **kw):
+        init(self, *args, **kw)
+        object.__setattr__(self, "_hash", field_hash(self))
+        if facts:
+            object.__setattr__(self, "_facts", _node_facts(self))
 
-    cls.__hash__ = cached
+    cls.__init__ = __init__
+    cls.__hash__ = lambda self: self._hash
     return cls
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class Prop:
     name: str
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class IndexedProp:
     name: str
     agent: int
@@ -70,21 +77,18 @@ class IndexedProp:
             raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class Not:
     arg: "SurfaceFormula"
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class And:
     left: "SurfaceFormula"
     right: "SurfaceFormula"
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@partial(_node, facts=False)
 class ProbTerm:
     """One summand ``coeff * Pr_agent(arg)`` of a probability comparison."""
 
@@ -98,8 +102,7 @@ class ProbTerm:
             raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class ProbGe:
     """``a1*Pr_j(f1) + ... + ak*Pr_j(fk) >= bound`` with one shared agent j."""
 
@@ -123,8 +126,7 @@ class ProbGe:
         return self.terms[0].agent
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class CB:
     """Common belief among a nonempty group of agents."""
 
@@ -142,41 +144,35 @@ class CB:
 
 # Surface abbreviations.
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "SurfaceFormula"
     right: "SurfaceFormula"
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "SurfaceFormula"
     right: "SurfaceFormula"
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class Iff:
     left: "SurfaceFormula"
     right: "SurfaceFormula"
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class TrueF:
     pass
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class FalseF:
     pass
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class B:
     """Individual belief: ``B(j, f)`` abbreviates ``Pr_j(f) >= 1``."""
 
@@ -188,8 +184,7 @@ class B:
             raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
 
 
-@_cache_hash
-@dataclass(frozen=True)
+@_node
 class EB:
     """Iterated group belief: everybody in ``group`` believes, ``power`` deep."""
 
@@ -310,45 +305,38 @@ class _Parser:
             self._fail({"end of input", "operator"})
         return f
 
-    def _formula(self):
-        return self._iff()
+    # Binary operators from the loosest to the tightest; only implication
+    # associates to the right.
+    _BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
 
-    def _iff(self):
-        left = self._imp()
-        while self._peek()[:2] == ("op", "<->"):
+    def _formula(self, level=0):
+        if level == len(self._BINARY):
+            return self._unary()
+        op, node = self._BINARY[level]
+        parts = [self._formula(level + 1)]
+        while self._peek()[:2] == ("op", op):
             self._next()
-            left = Iff(left, self._imp())
-        return left
-
-    def _imp(self):
-        parts = [self._or()]
-        while self._peek()[:2] == ("op", "->"):
-            self._next()
-            parts.append(self._or())
-        f = parts[-1]
-        for left in reversed(parts[:-1]):
-            f = Implies(left, f)
-        return f
-
-    def _or(self):
-        left = self._and()
-        while self._peek()[:2] == ("op", "|"):
-            self._next()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self):
-        left = self._unary()
-        while self._peek()[:2] == ("op", "&"):
-            self._next()
-            left = And(left, self._unary())
-        return left
+            parts.append(self._formula(level + 1))
+        if node is Implies:
+            return reduce(lambda right, left: Implies(left, right),
+                          reversed(parts))
+        return reduce(node, parts)
 
     def _unary(self):
+        # Prefix operators are read in a loop, not by recursion, and
+        # applied innermost first.
+        prefixes = list(iter(self._prefix, None))
+        f = self._atom()
+        for wrap in reversed(prefixes):
+            f = wrap(f)
+        return f
+
+    def _prefix(self):
+        """Consume one prefix operator; return its constructor, or None."""
         kind, text, offset = self._peek()
         if kind == "op" and text == "!":
             self._next()
-            return Not(self._unary())
+            return Not
         if kind == "ident":
             m = _B_RE.match(text)
             if m:
@@ -358,12 +346,12 @@ class _Parser:
                     raise UnknownAgent(
                         "agent index must be positive at offset %d: %s"
                         % (offset, text))
-                return B(agent, self._unary())
+                return partial(B, agent)
             if text in ("E", "CB") and self._peek(1)[:2] == ("op", "{"):
                 self._next()
                 group = self._natlist()
                 if text == "CB":
-                    return CB(group, self._unary())
+                    return partial(CB, group)
                 power = 1
                 if self._peek()[:2] == ("op", "^"):
                     self._next()
@@ -371,8 +359,8 @@ class _Parser:
                     if power < 1:
                         raise FormulaSyntaxError(offset, {"power >= 1"},
                                                  str(power))
-                return EB(group, power, self._unary())
-        return self._atom()
+                return partial(EB, group, power)
+        return None
 
     def _atom(self):
         kind, text, offset = self._peek()
@@ -479,9 +467,15 @@ def parse(text: str) -> SurfaceFormula:
 
     Comparisons other than ``>=`` are sugar and desugar immediately:
     ``t = b`` to ``t >= b & -t >= -b``, ``t > b`` to ``!(-t >= -b)``,
-    ``t <= b`` to ``-t >= -b`` and ``t < b`` to ``!(t >= b)``.
+    ``t <= b`` to ``-t >= -b`` and ``t < b`` to ``!(t >= b)``.  Chains of
+    prefix operators may be of any length; parentheses and probability
+    arguments nested deeper than the interpreter's stack allows (about a
+    hundred levels) raise ``FormulaTooDeep``.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise FormulaTooDeep("formula nests too deeply to parse") from None
 
 
 # --- Printer ---
@@ -498,7 +492,7 @@ def _group_text(group) -> str:
 def _render(f, sugar: bool):
     if sugar and isinstance(f, ProbGe) and len(f.terms) == 1 \
             and f.terms[0].coeff == 1 and f.bound == 1:
-        return _render(B(f.agent, f.terms[0].arg), sugar)
+        f = B(f.agent, f.terms[0].arg)
     if isinstance(f, Prop):
         return f.name, _ATOM
     if isinstance(f, IndexedProp):
@@ -555,21 +549,74 @@ def print_formula(f: SurfaceFormula, sugar_beliefs: bool = False) -> str:
 
     With ``sugar_beliefs`` set, single-term probability-one comparisons are
     rendered in the ``Bj f`` form; the text then parses back to the sugared
-    AST, which expands to the original.
+    AST, which expands to the original.  A formula nested more than
+    ``MAX_DEPTH`` deep raises ``FormulaTooDeep``.
     """
+    check_depth(f, "print")
     return _wrap(f, 0, sugar_beliefs)
 
 
-# --- Abbreviation expansion and syntactic utilities ---
+# --- Per-node facts, abbreviation expansion and syntactic utilities ---
 
-def _first_plain_prop(f):
-    if isinstance(f, Prop):
-        return f.name
-    for child in _children(f):
-        name = _first_plain_prop(child)
-        if name is not None:
-            return name
-    return None
+# Deepest nesting that the recursive printer and expansion accept; each
+# level costs them at most two interpreter frames, which keeps them well
+# inside Python's default limit of 1,000.
+MAX_DEPTH = 300
+
+
+class Facts(NamedTuple):
+    """What a query check and ``expand`` need to know of a formula: the
+    plan of one node, computed once, when the node is built, from its
+    children's (``facts``)."""
+
+    agents: frozenset  # every agent index mentioned
+    props: frozenset  # proposition names as written, indexed ones as p@i
+    indexed: bool  # an indexed proposition occurs
+    depth: int  # nesting depth; 1 for an atom
+    core: bool  # no abbreviation occurs, so the node is its own expansion
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, sharing an operand that already holds the other."""
+    return a if a >= b else b if b >= a else a | b
+
+
+def _node_facts(g) -> Facts:
+    """Facts of node ``g`` from the facts of its children."""
+    agents = props = frozenset()
+    indexed, depth, core = False, 0, isinstance(g, _CORE_TYPES)
+    if isinstance(g, Prop):
+        props = frozenset((g.name,))
+    elif isinstance(g, IndexedProp):
+        agents = frozenset((g.agent,))
+        props = frozenset(("%s@%d" % (g.name, g.agent),))
+        indexed = True
+    elif isinstance(g, (ProbGe, B)):
+        agents = frozenset((g.agent,))
+    elif isinstance(g, (CB, EB)):
+        agents = g.group
+    for kid in _children(g):
+        k_agents, k_props, k_indexed, k_depth, k_core = kid._facts
+        agents = _union(agents, k_agents)
+        props = _union(props, k_props)
+        indexed = indexed or k_indexed
+        depth = max(depth, k_depth)
+        core = core and k_core
+    return Facts(agents, props, indexed, depth + 1, core)
+
+
+def facts(f: SurfaceFormula) -> Facts:
+    """The facts of ``f``, computed from its children's when it was built."""
+    return f._facts
+
+
+def check_depth(f, what: str) -> None:
+    """Raise ``FormulaTooDeep`` when f nests more than ``MAX_DEPTH`` deep;
+    ``what`` names the refused operation."""
+    depth = facts(f).depth
+    if depth > MAX_DEPTH:
+        raise FormulaTooDeep("cannot %s a formula nested %d deep (at most %d)"
+                             % (what, depth, MAX_DEPTH))
 
 
 def expand(f: SurfaceFormula, tautology_prop: str = None) -> Formula:
@@ -580,101 +627,100 @@ def expand(f: SurfaceFormula, tautology_prop: str = None) -> Formula:
     ``true`` becomes "t or not t" for a designated proposition t: the one
     supplied, else the first proposition occurring in the formula, else
     ``p``.  Evaluation always supplies the structure's first declared
-    proposition.  Expansion is idempotent.
+    proposition.  Expansion is idempotent: a core formula is returned as
+    it is, at any depth; any other nested over ``MAX_DEPTH`` deep raises
+    ``FormulaTooDeep``.  Each node keeps its expansion per tautology
+    proposition, so shared and repeated work is done once.
     """
+    got = facts(f)
+    if got.core:
+        return f
+    check_depth(f, "expand")
     if tautology_prop is None:
-        tautology_prop = _first_plain_prop(f) or "p"
+        tautology_prop = next((g.name for g in subformulas(f)
+                               if isinstance(g, Prop)), "p")
+    return _expand(f, tautology_prop)
 
-    def ex(g):
-        if isinstance(g, (Prop, IndexedProp)):
-            return g
-        if isinstance(g, Not):
-            return Not(ex(g.arg))
-        if isinstance(g, And):
-            return And(ex(g.left), ex(g.right))
-        if isinstance(g, ProbGe):
-            return ProbGe(tuple(ProbTerm(t.coeff, t.agent, ex(t.arg))
-                                for t in g.terms), g.bound)
-        if isinstance(g, CB):
-            return CB(g.group, ex(g.arg))
-        if isinstance(g, Or):
-            return Not(And(Not(ex(g.left)), Not(ex(g.right))))
-        if isinstance(g, Implies):
-            return Not(And(ex(g.left), Not(ex(g.right))))
-        if isinstance(g, Iff):
-            left, right = ex(g.left), ex(g.right)
-            return And(Not(And(left, Not(right))), Not(And(right, Not(left))))
-        if isinstance(g, TrueF):
-            t = Prop(tautology_prop)
-            return Not(And(Not(t), Not(Not(t))))
+
+def _belief(agent: int, f) -> ProbGe:
+    return ProbGe((ProbTerm(Fraction(1), agent, f),), Fraction(1))
+
+
+def _expand(g, taut: str):
+    # A core node is its own expansion and keeps no memo, which would
+    # refer to the node itself.
+    if g._facts.core:
+        return g
+    memo = vars(g).setdefault("_expansions", {})
+    out = memo.get(taut)
+    if out is not None:
+        return out
+    if isinstance(g, Not):
+        out = Not(_expand(g.arg, taut))
+    elif isinstance(g, And):
+        out = And(_expand(g.left, taut), _expand(g.right, taut))
+    elif isinstance(g, ProbGe):
+        out = ProbGe(tuple(ProbTerm(t.coeff, t.agent, _expand(t.arg, taut))
+                           for t in g.terms), g.bound)
+    elif isinstance(g, CB):
+        out = CB(g.group, _expand(g.arg, taut))
+    elif isinstance(g, Or):
+        out = Not(And(Not(_expand(g.left, taut)),
+                      Not(_expand(g.right, taut))))
+    elif isinstance(g, Implies):
+        out = Not(And(_expand(g.left, taut), Not(_expand(g.right, taut))))
+    elif isinstance(g, Iff):
+        left, right = _expand(g.left, taut), _expand(g.right, taut)
+        out = And(Not(And(left, Not(right))), Not(And(right, Not(left))))
+    elif isinstance(g, (TrueF, FalseF)):
+        t = Prop(taut)
+        out = Not(And(Not(t), Not(Not(t))))
         if isinstance(g, FalseF):
-            return Not(ex(TrueF()))
-        if isinstance(g, B):
-            return ProbGe((ProbTerm(Fraction(1), g.agent, ex(g.arg)),),
-                          Fraction(1))
-        if isinstance(g, EB):
-            body = ex(g.arg)
-            for _ in range(g.power):
-                believed = [
-                    ProbGe((ProbTerm(Fraction(1), j, body),), Fraction(1))
-                    for j in sorted(g.group)
-                ]
-                acc = believed[0]
-                for nxt in believed[1:]:
-                    acc = And(acc, nxt)
-                body = acc
-            return body
+            out = Not(out)
+    elif isinstance(g, B):
+        out = _belief(g.agent, _expand(g.arg, taut))
+    elif isinstance(g, EB):
+        out = _expand(g.arg, taut)
+        for _ in range(g.power):
+            believed = [_belief(j, out) for j in sorted(g.group)]
+            out = believed[0]
+            for nxt in believed[1:]:
+                out = And(out, nxt)
+    else:
         raise TypeError("not a formula: %r" % (g,))
-
-    return ex(f)
+    memo[taut] = out
+    return out
 
 
 def is_propositional(f: SurfaceFormula) -> bool:
     """True iff the formula is built from propositions by boolean connectives
     only (no probability comparisons, no common belief, no indexed
-    propositions)."""
-    if isinstance(f, (ProbGe, CB, B, EB, IndexedProp)):
-        return False
-    return all(is_propositional(c) for c in _children(f))
+    propositions): every one of those names an agent."""
+    return not facts(f).agents
 
 
 def subformulas(f: SurfaceFormula) -> list:
-    """Post-order list of the distinct subformulas, the formula itself last."""
+    """Post-order list of the distinct subformulas, the formula itself last.
+    Each distinct node is visited once, without recursion."""
     out = []
     seen = set()
-
-    def walk(g):
-        for child in _children(g):
-            walk(child)
-        if g not in seen:
-            seen.add(g)
+    stack = [(f, False)]
+    while stack:
+        g, done = stack.pop()
+        if done:
             out.append(g)
-
-    walk(f)
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g, True))
+            stack.extend((k, False) for k in reversed(_children(g)))
     return out
 
 
 def propositions(f: SurfaceFormula) -> frozenset:
     """Proposition names as written, indexed ones in their ``p@i`` form."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Prop):
-            out.add(g.name)
-        elif isinstance(g, IndexedProp):
-            out.add("%s@%d" % (g.name, g.agent))
-    return frozenset(out)
+    return facts(f).props
 
 
 def agents_in(f: SurfaceFormula) -> frozenset:
     """Every agent index the formula mentions."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, ProbGe):
-            out.update(t.agent for t in g.terms)
-        elif isinstance(g, (CB, EB)):
-            out.update(g.group)
-        elif isinstance(g, B):
-            out.add(g.agent)
-        elif isinstance(g, IndexedProp):
-            out.add(g.agent)
-    return frozenset(out)
+    return facts(f).agents

@@ -35,14 +35,12 @@ class EvalMode(Enum):
         raise ValueError("unknown mode %r (use one of %s)"
                          % (text, ", ".join(m.value for m in cls)))
 
-    @property
-    def is_ai(self) -> bool:
-        return self in (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI)
-
-    @property
-    def innermost_scope(self) -> bool:
-        """In these modes probability formulas are agent-independent."""
-        return self in (EvalMode.INNERMOST, EvalMode.INNERMOST_AI)
+    def __init__(self, value):
+        # Plain attributes, not properties: the evaluator reads them on
+        # every cache key.  ``innermost_scope``: probability formulas are
+        # agent-independent in these modes.
+        self.is_ai = value.endswith("-ai")
+        self.innermost_scope = value in ("in", "in-ai")
 
     def __str__(self) -> str:
         return self.value

@@ -36,6 +36,10 @@ undefined for a group agent has no space for that agent; the pass raises
 ``UndefinedConditional`` for the first such state (in ``states`` order)
 unless common belief fails there anyway.  ``eb_k`` provides the finite
 iterations independently as an oracle.
+
+A query is checked against the formula's plan (``formula.facts``), which
+every ``Evaluator`` shares, and evaluated on an explicit stack; a query
+asked again is answered from one dict lookup.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 # Signal violations that block the innermost signal mode; the outermost one
 # needs every signal check to pass.
 _A5_KINDS = {"signal-missing", "signal-not-propositional", "signal-cell"}
+
+# Formulas whose extension does not depend on the outer agent in the
+# innermost modes.
+_AGENT_FREE = (fm.ProbGe, fm.CB)
 
 
 class _Conditional:
@@ -102,13 +110,14 @@ class Evaluator:
     def __init__(self, m: Structure):
         self.m = m
         self._universe = m.universe
+        self._agents = frozenset(m.agents)
+        self._props = frozenset(m.props)
+        self._answers = {}
         self._ext = {}
         self._tables = {}
         self._levels = {}
         self._signal_report = None
         self._mode_checked = {}
-        self._expanded = {}
-        self._query_checked = set()
 
     # -- preconditions --
 
@@ -134,7 +143,7 @@ class Evaluator:
                            "prior-missing for agent %d" % (mode, missing[0]))
             else:
                 if self._signal_report is None:
-                    self._signal_report = validate_signals(self.m)
+                    self._signal_report = validate_signals(self.m, self)
                 report = self._signal_report
                 relevant = (report.entries
                             if mode is EvalMode.OUTERMOST_AI
@@ -149,23 +158,19 @@ class Evaluator:
             raise ModePrereqMissing(problem)
 
     def _check_query(self, f, mode: EvalMode) -> None:
-        key = (f, mode is EvalMode.COMMON)
-        if key in self._query_checked:
-            return
-        for agent in fm.agents_in(f):
-            if agent not in self.m.agents:
-                raise UnknownAgent("formula mentions agent %d, structure has "
-                                   "1..%d" % (agent, self.m.n_agents))
-        declared = set(self.m.props)
-        for name in fm.propositions(f):
-            if name not in declared:
-                raise UnknownProp("proposition %r not declared" % name)
-        if mode is not EvalMode.COMMON:
-            for g in fm.subformulas(f):
-                if isinstance(g, fm.IndexedProp):
-                    raise ModePrereqMissing(
-                        "indexed propositions only evaluate in common mode")
-        self._query_checked.add(key)
+        """Subset tests on f's facts; an unknown agent or proposition is
+        reported by the first in sorted order."""
+        facts = fm.facts(f)
+        if not facts.agents <= self._agents:
+            raise UnknownAgent("formula mentions agent %d, structure has "
+                               "1..%d" % (min(facts.agents - self._agents),
+                                          self.m.n_agents))
+        if not facts.props <= self._props:
+            raise UnknownProp("proposition %r not declared"
+                              % min(facts.props - self._props))
+        if facts.indexed and mode is not EvalMode.COMMON:
+            raise ModePrereqMissing(
+                "indexed propositions only evaluate in common mode")
 
     # -- public API --
 
@@ -175,7 +180,15 @@ class Evaluator:
         return state in self.extension(agent, f, mode)
 
     def extension(self, agent: int, f, mode: EvalMode) -> frozenset:
-        return self._ext_core(agent, self._prepare(f, mode, agent), mode)
+        """The states where f holds as ``agent`` reads it.  A query asked
+        before is answered from one dict lookup: the structure, formula,
+        mode and agent are the same, so every check would pass again."""
+        key = (f, mode, agent)
+        got = self._answers.get(key)
+        if got is None:
+            got = self._answers[key] = self._ext_core(
+                agent, self._prepare(f, mode, agent), mode)
+        return got
 
     def prob_value(self, state: str, agent: int, f,
                    mode: EvalMode) -> Fraction:
@@ -189,7 +202,9 @@ class Evaluator:
             raise ValueError("not a probability comparison: %s"
                              % fm.print_formula(f))
         j = core.agent
-        reader, args = self._prob_args(agent, core, mode)
+        reader = j if mode.innermost_scope else agent
+        args = [(t.coeff, self._ext_core(reader, t.arg, mode))
+                for t in core.terms]
         spaces, _, undefined = self._spaces(j, mode, reader)
         if state in undefined:
             raise self._undefined(j, state, undefined[state])
@@ -254,65 +269,76 @@ class Evaluator:
         self.m.check_agents(*agents)
         self._require_mode(mode)
         self._check_query(f, mode)
-        return self._expand(f)
-
-    def _expand(self, f):
-        core = self._expanded.get(f)
-        if core is None:
-            core = fm.expand(f, self.m.props[0])
-            self._expanded[f] = core
-        return core
+        return fm.expand(f, self.m.props[0])
 
     def _ext_core(self, agent: int, f, mode: EvalMode) -> frozenset:
-        if mode is EvalMode.COMMON:
-            agent_key = None
-        elif mode.innermost_scope and isinstance(f, (fm.ProbGe, fm.CB)):
-            agent_key = None
-        else:
-            agent_key = agent
-        key = (f, mode, agent_key)
-        cached = self._ext.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, fm.Prop):
-            try:
-                out = self.m.interpretations[agent][f.name]
-            except KeyError:
-                raise UnknownProp("agent %d does not interpret %r"
-                                  % (agent, f.name))
-        elif isinstance(f, fm.IndexedProp):
-            name = "%s@%d" % (f.name, f.agent)
-            try:
-                out = self.m.interpretations[agent][name]
-            except KeyError:
-                raise UnknownProp("agent %d does not interpret %r"
-                                  % (agent, name))
-        elif isinstance(f, fm.Not):
-            out = self._universe - self._ext_core(agent, f.arg, mode)
-        elif isinstance(f, fm.And):
-            out = (self._ext_core(agent, f.left, mode)
-                   & self._ext_core(agent, f.right, mode))
-        elif isinstance(f, fm.ProbGe):
-            out = self._prob_extension(agent, f, mode)
-        elif isinstance(f, fm.CB):
-            out = self._cb_set(f.group, f.arg, mode, agent)
-        else:
-            raise TypeError("expand() the formula before evaluation: %r"
-                            % (f,))
-        self._ext[key] = out
-        return out
-
-    def _prob_extension(self, agent: int, f, mode: EvalMode) -> frozenset:
-        reader, args = self._prob_args(agent, f, mode)
-        return self._where(f.agent, mode, reader,
-                           lambda space: self._lhs(args, space) >= f.bound)
-
-    def _prob_args(self, agent: int, f, mode: EvalMode) -> tuple:
-        """The mode's reader of a comparison's arguments, and each term's
-        coefficient with its argument's extension as that reader has it."""
-        reader = f.agent if mode.innermost_scope else agent
-        return reader, [(t.coeff, self._ext_core(reader, t.arg, mode))
-                        for t in f.terms]
+        """Extension of core formula f as ``agent`` reads it, cached per
+        (formula, mode, reading agent); the reader is left out of the key
+        where it does not matter.  A miss walks the (reader, subformula)
+        pairs in post-order on an explicit stack, not by recursion,
+        children left to right as a recursive walk would; a nested common
+        belief reads its argument for every group agent before its pass.
+        """
+        ext = self._ext
+        shared = mode is EvalMode.COMMON
+        inner = mode.innermost_scope
+        key = (f, mode, None if shared or (inner and type(f) in _AGENT_FREE)
+               else agent)
+        got = ext.get(key)
+        if got is not None:
+            return got
+        # A pair stays on the stack until the extensions its clause reads
+        # are cached.
+        todo = [(agent, f, key)]
+        while todo:
+            a, g, k = todo[-1]
+            kind = type(g)
+            if kind is fm.Not:
+                pairs = ((a, g.arg),)
+            elif kind is fm.And:
+                pairs = ((a, g.left), (a, g.right))
+            elif kind is fm.ProbGe:
+                reader = g.agent if inner else a
+                pairs = [(reader, t.arg) for t in g.terms]
+            elif kind is fm.CB:
+                pairs = [(j if inner else a, g.arg)
+                         for j in sorted(g.group)]
+            elif kind is fm.Prop or kind is fm.IndexedProp:
+                name = (g.name if kind is fm.Prop
+                        else "%s@%d" % (g.name, g.agent))
+                try:
+                    ext[k] = self.m.interpretations[a][name]
+                except KeyError:
+                    raise UnknownProp("agent %d does not interpret %r"
+                                      % (a, name))
+                todo.pop()
+                continue
+            else:
+                raise TypeError("expand() the formula before evaluation: %r"
+                                % (g,))
+            read = []
+            for b, h in pairs:
+                kk = (h, mode, None if shared or (
+                    inner and type(h) in _AGENT_FREE) else b)
+                got = ext.get(kk)
+                if got is None:
+                    todo.append((b, h, kk))
+                    break
+                read.append(got)
+            else:
+                todo.pop()
+                if kind is fm.Not:
+                    ext[k] = self._universe - read[0]
+                elif kind is fm.And:
+                    ext[k] = read[0] & read[1]
+                elif kind is fm.ProbGe:
+                    args = [(t.coeff, e) for t, e in zip(g.terms, read)]
+                    ext[k] = self._where(
+                        g.agent, mode, reader,
+                        lambda space: self._lhs(args, space) >= g.bound)
+                else:
+                    ext[k] = self._cb_set(g.group, g.arg, mode, a)
+        return ext[key]
 
     @staticmethod
     def _lhs(args, space) -> Fraction:
@@ -345,7 +371,7 @@ class Evaluator:
         if mode.is_ai:
             served = {}
             for s in m.states:
-                event = self._ext_core(reader, self._expand(m.signals[j][s]),
+                event = self.extension(reader, m.signals[j][s],
                                        EvalMode.OUTERMOST)
                 served.setdefault(event, []).append(s)
             spaces = []

@@ -136,6 +136,9 @@ class Structure:
         for name in self.props:
             if not _NAME.match(name) or _RESERVED_NAME.match(name):
                 raise ModelFormatError("unusable proposition name: %r" % name)
+        # Plain attributes rather than properties: they are read per query.
+        object.__setattr__(self, "agents", range(1, self.n_agents + 1))
+        object.__setattr__(self, "universe", frozenset(self.states))
         for label, mapping in (("partitions", self.partitions),
                                ("beliefs", self.beliefs),
                                ("interpretations", self.interpretations)):
@@ -153,15 +156,6 @@ class Structure:
                 for s in cell:
                     index.setdefault((i, s), ci)
         object.__setattr__(self, "_cell_index", index)
-        object.__setattr__(self, "_universe", frozenset(self.states))
-
-    @property
-    def agents(self) -> range:
-        return range(1, self.n_agents + 1)
-
-    @property
-    def universe(self) -> frozenset:
-        return self._universe
 
     def check_agents(self, *agents) -> None:
         """Raise ``UnknownAgent`` for the first agent outside 1..n_agents."""
@@ -254,10 +248,11 @@ def validate_core(m: Structure) -> Report:
                            % (i, ci, total), agent=i, cell=ci,
                            total=str(total))
 
-    # Cross-agent cells and own propositions must be measurable in each cell.
+    # Cross-agent cells and own propositions must be measurable in each
+    # cell.  With point masses (the powerset algebra) every event is.
     for i in m.agents:
         for ci, (cell, cb) in enumerate(zip(m.partitions[i], m.beliefs[i])):
-            if cb.states != cell:
+            if cb.states != cell or cb._point is not None:
                 continue
             for j in m.agents:
                 if j == i:
@@ -325,7 +320,7 @@ _CORE_KINDS = {
 }
 
 
-def validate_signals(m: Structure) -> Report:
+def validate_signals(m: Structure, ev=None) -> Report:
     """Check the signal assumptions; violations become report entries.
 
     For every agent and state there must be a propositional signal formula
@@ -334,14 +329,17 @@ def validate_signals(m: Structure) -> Report:
     extensions under the other agent's interpretation must form a partition
     of the state space containing each state in its own signal's extension
     (this stronger condition is what outermost signal semantics relies on).
-    Each signal is read through ``Evaluator.extension``, as a query's
-    propositional arguments are.
+    Each signal is read through ``ev.extension``, as a query's
+    propositional arguments are; ``ev`` is an ``Evaluator`` of m, a fresh
+    one by default.  An evaluator checking its own signal modes passes
+    itself, so each reading is computed once and its probability spaces
+    reuse it.
     """
-    from .semantics import Evaluator  # semantics imports this module
-
     if m.signals is None:
         raise MissingSignals("structure declares no signals")
-    ev = Evaluator(m)
+    if ev is None:
+        from .semantics import Evaluator  # semantics imports this module
+        ev = Evaluator(m)
     report = Report()
     readings = {}  # signal -> {reader: frozenset}, None if not propositional
     exts = {}  # (owner, state) -> that state's signal's readings
@@ -595,6 +593,9 @@ def structure_from_dict(data: dict) -> Structure:
                 if s not in state_set:
                     raise ModelFormatError("signals[%d]: unknown state %r"
                                            % (i, s))
+                if not isinstance(text, str):
+                    raise ModelFormatError("signals[%d][%s]: expected formula "
+                                           "text, got %r" % (i, s, text))
                 if text not in parsed:
                     parsed[text] = fm.parse(text)
                 out[s] = parsed[text]

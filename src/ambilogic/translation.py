@@ -67,6 +67,7 @@ def _translate(f, index: int, keep_outer: bool, naive_cb: bool, memo: dict):
     out = memo.get(key)
     if out is not None:
         return out
+    fm.check_depth(f, "translate")  # the recursion below follows f's depth
     if isinstance(f, fm.Prop):
         out = fm.IndexedProp(f.name, index)
     elif isinstance(f, fm.IndexedProp):
@@ -86,12 +87,10 @@ def _translate(f, index: int, keep_outer: bool, naive_cb: bool, memo: dict):
                   for t in f.terms),
             f.bound)
     elif isinstance(f, fm.CB):
-        if keep_outer:
-            out = fm.CB(f.group,
-                        _translate(f.arg, index, keep_outer, naive_cb, memo))
-        elif naive_cb:
-            # The structurally tempting clause; it is wrong and exists only
-            # so that its failure can be demonstrated.
+        if keep_outer or naive_cb:
+            # For the innermost translation (naive_cb) this is the
+            # structurally tempting clause; it is wrong and exists only so
+            # that its failure can be demonstrated.
             out = fm.CB(f.group,
                         _translate(f.arg, index, keep_outer, naive_cb, memo))
         else:

@@ -132,6 +132,42 @@ def test_eval_not_measurable_exits_2(formula, tmp_path, capsys):
     assert err.startswith("error: ") and "cuts across atom" in err
 
 
+@pytest.mark.parametrize("negations, expected", [(3000, "true"),
+                                                 (3001, "false")])
+def test_eval_deep_negation_answers(negations, expected, red_path, capsys):
+    code = main(["eval", "--model", red_path, "--formula",
+                 "!" * negations + "p", "--state", "w1", "--agent", "1",
+                 "--mode", "in"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--formula", "B1 " * 3000 + "p"],
+    ["eval", "--formula", "(" * 3000 + "p" + ")" * 3000],
+    ["translate", "--formula", "!" * 3000 + "p"],
+])
+def test_too_deep_formula_exits_2(argv, red_path, capsys):
+    if argv[0] == "eval":
+        argv += ["--model", red_path, "--state", "w1", "--agent", "1",
+                 "--mode", "ou"]
+    else:
+        argv += ["--agent", "1", "--mode", "in"]
+    assert main(argv) == 2
+    assert "nest" in capsys.readouterr().err
+
+
+def test_validate_non_string_signal_exits_2(tmp_path, capsys):
+    with open(AI_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["signals"]["1"]["a"] = 3
+    path = tmp_path / "signal3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signals[1][a]: expected formula text")
+
+
 def test_eval_missing_prior_exits_1(tmp_path, capsys):
     path = _ai_model_without(tmp_path, "priors", "2")
     code = main(["eval", "--model", path, "--formula", "Pr2(p) >= 1/2",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ambilogic import formula as fm
-from ambilogic.errors import FormulaSyntaxError, UnknownAgent
+from ambilogic.errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent
 from ambilogic.generators import random_surface_formula
 
 
@@ -197,3 +197,41 @@ def test_probge_constructor_validates():
                    (Fraction(1), 2, fm.Prop("q"))), Fraction(1))
     with pytest.raises(ValueError):
         fm.CB(frozenset(), fm.Prop("p"))
+
+
+def _negations(n, inner="p"):
+    return fm.parse("!" * n + inner)
+
+
+def test_long_prefix_chains_parse_without_recursion():
+    f = _negations(3000)
+    assert fm.facts(f).depth == 3001 and fm.facts(f).core
+    assert fm.expand(f) is f  # a core formula is its own expansion
+    g = fm.parse("B1 " * 1000 + "E{1,2}^2 CB{2} p")
+    assert fm.agents_in(g) == {1, 2} and fm.facts(g).depth == 1003
+
+
+def test_printer_and_expand_refuse_past_max_depth():
+    at_limit = _negations(fm.MAX_DEPTH - 1)
+    assert fm.parse(fm.print_formula(at_limit)) == at_limit
+    assert fm.expand(fm.parse("!" * (fm.MAX_DEPTH - 1) + "true"), "p")
+    too_deep = _negations(fm.MAX_DEPTH)
+    with pytest.raises(FormulaTooDeep, match="print a formula nested %d"
+                       % (fm.MAX_DEPTH + 1)):
+        fm.print_formula(too_deep)
+    with pytest.raises(FormulaTooDeep, match="expand"):
+        fm.expand(fm.parse("B1 " * fm.MAX_DEPTH + "p"))
+
+
+def test_deep_parentheses_are_a_named_error():
+    with pytest.raises(FormulaTooDeep, match="parse"):
+        fm.parse("(" * 3000 + "p" + ")" * 3000)
+
+
+def test_facts_are_kept_per_node():
+    f = fm.parse("Pr2(p@1 & q) >= 1/2 | !CB{3,1} true")
+    got = fm.facts(f)
+    assert (got.agents, got.props, got.indexed, got.depth, got.core) \
+        == ({1, 2, 3}, {"p@1", "q"}, True, 4, False)
+    assert fm.facts(f) is got
+    assert not fm.is_propositional(f) and fm.is_propositional(fm.parse("!q"))

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,15 @@ from ambilogic.generators import (
     random_core_formula,
     random_signal_structure,
     random_structure,
+    random_surface_formula,
 )
 from ambilogic.modes import EvalMode
+from ambilogic import semantics
+from ambilogic.campaign import CHECK_NAMES, Campaign, run_campaign
 from ambilogic.semantics import Evaluator, valid_in_model
 from ambilogic.structure import Structure, singleton_cell
 from ambilogic.transforms import fix_interpretation
+from ambilogic.translation import translate_in
 
 from demo_models import m_ai, m_ck, m_red, m_sig
 
@@ -478,3 +484,94 @@ def test_cb_undefined_conditional_at_unrefuted_state_raises():
     with pytest.raises(UndefinedConditional) as info:
         ev.common_belief_set({1, 2}, fm.parse("p | !s"), IN_AI, 1)
     assert (info.value.agent, info.value.state) == (2, "w2")
+
+
+def test_repeated_query_answers_without_prepare(monkeypatch):
+    ev = Evaluator(m_red())
+    f = fm.parse("Pr2(p) = 1/2")
+    assert ev.evaluate("w1", 1, f, OU)
+    calls = []
+    monkeypatch.setattr(Evaluator, "_prepare",
+                        lambda *args: calls.append(args))
+    assert ev.evaluate("w2", 1, f, OU) == ("w2" in ev.extension(1, f, OU))
+    assert ev.extension(1, fm.parse("Pr2(p) = 1/2"), OU)  # an equal copy
+    assert calls == []
+
+
+def test_unknown_names_are_reported_first_in_sorted_order():
+    ev = Evaluator(m_red())
+    with pytest.raises(UnknownAgent, match="agent 5"):
+        ev.extension(1, fm.parse("B7 p & B5 p & B6 p"), OU)
+    with pytest.raises(UnknownProp, match="'r'"):
+        ev.extension(1, fm.parse("u & t & r & s"), OU)
+
+
+def test_signal_modes_read_signals_in_the_query_evaluator(monkeypatch):
+    built = []
+    init = Evaluator.__init__
+    monkeypatch.setattr(Evaluator, "__init__",
+                        lambda self, m: built.append(m) or init(self, m))
+    ev = Evaluator(m_ai())
+    for mode in (OU_AI, IN_AI):
+        ev.extension(2, fm.parse("Pr1(p) >= 1"), mode)
+    assert len(built) == 1
+
+
+def test_deep_chains_evaluate_without_recursion():
+    even = fm.parse("!" * 3000 + "p")
+    for m, mode in ((m_ck(), COMMON), (m_red(), OU), (m_red(), IN)):
+        ev = Evaluator(m)
+        assert ev.extension(1, even, mode) == m.interpretations[1]["p"]
+    m = m_red()
+    cb = fm.parse("CB{1,2} " * 1000 + "p")
+    assert Evaluator(m).extension(1, cb, IN) == \
+        Evaluator(m).extension(1, fm.parse("CB{1,2} p"), IN)
+
+
+def test_expanded_group_belief_is_planned_once_per_node(monkeypatch):
+    calls = []
+    node_facts = fm._node_facts
+    monkeypatch.setattr(fm, "_node_facts",
+                        lambda g: calls.append(g) or node_facts(g))
+    f = fm.parse("E{1,2}^16 p")
+    calls.clear()
+    core = fm.expand(f, "p")
+    # 16 levels of one And over two beliefs; the p under them is f's own.
+    assert len(fm.subformulas(core)) == 49 and len(calls) == 48
+    best = float("inf")
+    for _ in range(3):
+        ev = Evaluator(m_red())
+        started = time.perf_counter()
+        ev.evaluate("w1", 1, core, OU)
+        best = min(best, time.perf_counter() - started)
+    assert best < 0.010, best
+    assert len(calls) == 48
+
+
+def test_campaign_formulas_leave_no_cyclic_garbage():
+    # The campaign's formulas are core ones; the surface formulas after it
+    # exercise the expansions that nodes keep.
+    rng = random.Random(3)
+    gc.collect()
+    gc.disable()
+    try:
+        run_campaign(Campaign(seed=3, trials=2, checks=CHECK_NAMES))
+        ev = Evaluator(m_red())
+        for _ in range(30):
+            f = random_surface_formula(rng, ["p"], 2, 3)
+            if not fm.facts(f).indexed:
+                ev.extension(1, f, IN)
+                translate_in(f, 1, "p")
+        del ev, f
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    nodes = tuple(getattr(fm, name) for name in (
+        "Prop", "IndexedProp", "Not", "And", "ProbTerm", "ProbGe", "CB",
+        "Or", "Implies", "Iff", "TrueF", "FalseF", "B", "EB"))
+    assert not [g for g in garbage
+                if isinstance(g, nodes + (Evaluator, semantics._Conditional))]

@@ -105,6 +105,18 @@ def test_coarse_algebra_common_belief_raises_like_belief():
             query(Evaluator(m))
 
 
+def test_validate_core_probes_only_coarse_cells(monkeypatch):
+    probed = []
+    measure = CellBeliefs.measure
+    monkeypatch.setattr(CellBeliefs, "measure",
+                        lambda cb, event: probed.append(cb)
+                        or measure(cb, event))
+    assert validate_core(m_sig()).ok and probed == []
+    m = coarse_atom_structure()
+    assert "prop-measurability" in validate_core(m).kinds()
+    assert probed and all(cb._point is None for cb in probed)
+
+
 def test_validate_core_flags_unmeasurable_other_cell():
     cell = frozenset({"w1", "w2"})
     m = Structure(
@@ -334,6 +346,14 @@ def test_loader_rejects_floats():
     blob["priors"] = {"1": {"w1": 0.5, "w2": "1/2"},
                       "2": {"w1": "1/2", "w2": "1/2"}}
     with pytest.raises(ModelFormatError):
+        loads_structure(json.dumps(blob))
+
+
+@pytest.mark.parametrize("signal", [3, ["s"], {"s": 1}, None])
+def test_loader_rejects_non_string_signals(signal):
+    blob = structure_to_dict(m_sig())
+    blob["signals"]["1"]["w1"] = signal
+    with pytest.raises(ModelFormatError, match=r"signals\[1\]\[w1\]"):
         loads_structure(json.dumps(blob))
 
 
