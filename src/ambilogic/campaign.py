@@ -141,12 +141,12 @@ def _check_thm1_da(rng, bounds, _hook):
     state = rng.choice(m.states)
     labelled, _ = label_partitions(m, state)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth, props=m.props)
-    report = verify_transform_equivalence(
-        m, labelled, None, corpus,
-        TransformClaim("label-partitions"))
     if not validate_core(labelled).ok or not validate_signals(labelled).ok:
         return False, _counterexample(labelled, None,
                                       {"reason": "labelled structure invalid"})
+    report = verify_transform_equivalence(
+        m, labelled, None, corpus,
+        TransformClaim("label-partitions"))
     return report.ok, None if report.ok else _counterexample(m, report)
 
 

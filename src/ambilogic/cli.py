@@ -121,7 +121,7 @@ def _leading_comparison(f):
 def _cmd_validate(args) -> int:
     m = load_structure(args.model)
     report = validate_core(m)
-    if m.signals is not None:
+    if m.signals is not None and report.ok:  # signals need a valid core
         report.extend(validate_signals(m))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1

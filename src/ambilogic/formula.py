@@ -19,8 +19,8 @@ text and ASTs and are mutually inverse on ASTs.
 Formulas are compiled once, on the immutable nodes: a node computes its
 hash and its plan, ``facts``, from its children's when it is built, and
 keeps its expansion once asked.  Every ``Evaluator`` shares them, and a
-DAG costs one step per distinct node.  The printer and ``expand`` recurse
-and refuse formulas nested over ``MAX_DEPTH`` deep (``FormulaTooDeep``).
+DAG costs one step per distinct node.  The parser, printer and ``expand``
+recurse and refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from typing import NamedTuple, Union
 
 from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent
@@ -261,7 +261,7 @@ class _Parser:
                 self.tokens.append((m.lastgroup, m.group(), pos))
             pos = m.end()
         self.tokens.append(("end", "", len(text)))
-        self.pos = 0
+        self.pos = self.depth = 0
 
     def _peek(self, ahead=0):
         i = min(self.pos + ahead, len(self.tokens) - 1)
@@ -305,22 +305,28 @@ class _Parser:
             self._fail({"end of input", "operator"})
         return f
 
-    # Binary operators from the loosest to the tightest; only implication
-    # associates to the right.
-    _BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+    # Binary operators by binding strength; implication associates right.
+    _INFIX = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-    def _formula(self, level=0):
-        if level == len(self._BINARY):
-            return self._unary()
-        op, node = self._BINARY[level]
-        parts = [self._formula(level + 1)]
-        while self._peek()[:2] == ("op", op):
+    def _formula(self):
+        """Operands and binary operators, folded on a stack in one frame;
+        each parenthesis or ``Pr`` argument nests one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaTooDeep("cannot parse a formula nested more than "
+                                 "%d deep" % MAX_DEPTH)
+        operands, ops = [self._unary()], []
+        while True:
+            op = self._INFIX.get(self._peek()[1], (0, None))
+            # Fold what binds tighter, or as tight and associates left.
+            while ops and ops[-1][0] >= op[0] + (op[1] is Implies):
+                operands[-2:] = [ops.pop()[1](*operands[-2:])]
+            if op[1] is None:
+                self.depth -= 1
+                return operands[0]
             self._next()
-            parts.append(self._formula(level + 1))
-        if node is Implies:
-            return reduce(lambda right, left: Implies(left, right),
-                          reversed(parts))
-        return reduce(node, parts)
+            ops.append(op)
+            operands.append(self._unary())
 
     def _unary(self):
         # Prefix operators are read in a loop, not by recursion, and
@@ -468,14 +474,11 @@ def parse(text: str) -> SurfaceFormula:
     Comparisons other than ``>=`` are sugar and desugar immediately:
     ``t = b`` to ``t >= b & -t >= -b``, ``t > b`` to ``!(-t >= -b)``,
     ``t <= b`` to ``-t >= -b`` and ``t < b`` to ``!(t >= b)``.  Chains of
-    prefix operators may be of any length; parentheses and probability
-    arguments nested deeper than the interpreter's stack allows (about a
-    hundred levels) raise ``FormulaTooDeep``.
+    prefix operators may be of any length; a formula whose parentheses and
+    probability arguments nest over ``MAX_DEPTH`` levels, itself included,
+    raises ``FormulaTooDeep``, so all that ``print_formula`` writes parses.
     """
-    try:
-        return _Parser(text).parse()
-    except RecursionError:
-        raise FormulaTooDeep("formula nests too deeply to parse") from None
+    return _Parser(text).parse()
 
 
 # --- Printer ---
@@ -558,10 +561,10 @@ def print_formula(f: SurfaceFormula, sugar_beliefs: bool = False) -> str:
 
 # --- Per-node facts, abbreviation expansion and syntactic utilities ---
 
-# Deepest nesting that the recursive printer and expansion accept; each
-# level costs them at most two interpreter frames, which keeps them well
-# inside Python's default limit of 1,000.
-MAX_DEPTH = 300
+# Deepest nesting the recursive parser, printer and expansion accept: at
+# most five interpreter frames a level (seven to compare two formulas) keep
+# them all inside Python's default limit of 1,000.
+MAX_DEPTH = 100
 
 
 class Facts(NamedTuple):

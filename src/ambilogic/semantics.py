@@ -2,7 +2,8 @@
 that evaluates formulas, and its methods are the evaluation API.  It is
 also the only reader of propositional formulas: a query's arguments, the
 signals that condition the "-ai" modes, and ``structure.validate_signals``'s
-readings all go through ``_ext_core``.
+readings all go through ``_ext_core``.  It answers, in every mode, only on
+a structure that passes ``structure.validate_core``.
 
 The judgment is "formula f holds at state w according to agent i".  All
 modes share the clauses for propositions (the interpreting agent's
@@ -48,6 +49,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from .errors import (
+    CoreInvalid,
     MissingSignals,
     ModePrereqMissing,
     UndefinedConditional,
@@ -57,7 +59,8 @@ from .errors import (
 )
 from .modes import EvalMode
 from .reporting import Report
-from .structure import Structure, is_common_interpretation, validate_signals
+from .structure import (Structure, is_common_interpretation, validate_core,
+                        validate_signals)
 
 __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 
@@ -104,10 +107,13 @@ class Evaluator:
     Extensions are cached per (formula, mode, interpreting agent); in the
     innermost modes probability and common-belief formulas are cached
     agent-independently since their truth does not depend on the outer
-    agent.  Instances are cheap; reuse one per structure in hot loops.
+    agent.  An instance validates its structure once, when built, raising
+    ``CoreInvalid`` if ``validate_core`` rejects it; reuse one per structure.
     """
 
     def __init__(self, m: Structure):
+        if not (report := validate_core(m)).ok:
+            raise CoreInvalid("structure fails core checks: %s" % report)
         self.m = m
         self._universe = m.universe
         self._agents = frozenset(m.agents)
@@ -134,13 +140,8 @@ class Evaluator:
         elif mode.is_ai:
             if self.m.signals is None:
                 raise MissingSignals("mode %s needs per-state signals" % mode)
-            missing = [i for i in self.m.agents
-                       if i not in (self.m.priors or {})]
             if self.m.priors is None:
                 problem = "mode %s needs explicit priors" % mode
-            elif missing:
-                problem = ("mode %s needs a prior for every agent: "
-                           "prior-missing for agent %d" % (mode, missing[0]))
             else:
                 if self._signal_report is None:
                     self._signal_report = validate_signals(self.m, self)
@@ -211,8 +212,6 @@ class Evaluator:
         for sources, space in spaces:
             if state in sources:
                 return self._lhs(args, space)
-        raise UnknownState("state %r not in any cell of agent %d"
-                           % (state, j))
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
@@ -306,11 +305,7 @@ class Evaluator:
             elif kind is fm.Prop or kind is fm.IndexedProp:
                 name = (g.name if kind is fm.Prop
                         else "%s@%d" % (g.name, g.agent))
-                try:
-                    ext[k] = self.m.interpretations[a][name]
-                except KeyError:
-                    raise UnknownProp("agent %d does not interpret %r"
-                                      % (a, name))
+                ext[k] = self.m.interpretations[a][name]
                 todo.pop()
                 continue
             else:

@@ -17,6 +17,7 @@ asks it for each signal's reading.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -189,6 +190,12 @@ class Structure:
 
 # --- Validation ---
 
+def _exact_sum(qs) -> Fraction:
+    """Sum of rationals in integers over the LCM of their denominators."""
+    d = math.lcm(*(q.denominator for q in qs))
+    return Fraction(sum(q.numerator * d // q.denominator for q in qs), d)
+
+
 def validate_core(m: Structure) -> Report:
     """Check the base soundness assumptions; violations become report entries.
 
@@ -237,11 +244,11 @@ def validate_core(m: Structure) -> Report:
                            "agent %d cell %d: atoms do not partition the cell"
                            % (i, ci), agent=i, cell=ci)
                 continue
-            if any(mass < 0 for mass in cb.masses):
+            if any(mass.numerator < 0 for mass in cb.masses):
                 report.add("measure-negative",
                            "agent %d cell %d has a negative mass" % (i, ci),
                            agent=i, cell=ci)
-            total = sum(cb.masses, Fraction(0))
+            total = _exact_sum(cb.masses)
             if total != 1:
                 report.add("measure-sum",
                            "agent %d cell %d masses sum to %s, not 1"
@@ -298,10 +305,10 @@ def validate_core(m: Structure) -> Report:
                 report.add("prior-missing", "agent %d has no prior" % i,
                            agent=i)
                 continue
-            if any(v < 0 for v in nu.values()):
+            if any(v.numerator < 0 for v in nu.values()):
                 report.add("prior-negative",
                            "agent %d prior has a negative mass" % i, agent=i)
-            total = sum(nu.values(), Fraction(0))
+            total = _exact_sum(nu.values())
             if total != 1:
                 report.add("prior-sum",
                            "agent %d prior sums to %s, not 1" % (i, total),
@@ -333,7 +340,7 @@ def validate_signals(m: Structure, ev=None) -> Report:
     propositional arguments are; ``ev`` is an ``Evaluator`` of m, a fresh
     one by default.  An evaluator checking its own signal modes passes
     itself, so each reading is computed once and its probability spaces
-    reuse it.
+    reuse it.  It needs a valid core: ``Evaluator`` raises ``CoreInvalid``.
     """
     if m.signals is None:
         raise MissingSignals("structure declares no signals")

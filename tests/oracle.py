@@ -2,6 +2,10 @@
 
 Direct clause-by-clause recursion: no memoization, no reachability pass,
 and no evaluation code from the package (signals are read by ``_ev`` too).
+The surface abbreviations have clauses of their own, by their meaning,
+so ``formula.expand`` is not used: ``true``/``false`` are the constants,
+``|``, ``->`` and ``<->`` the boolean connectives, ``Bj f`` is "j gives f
+probability one" and ``E{G}^k f`` the k-fold "everybody in G believes".
 Common belief is checked as the conjunction of the iterated "everybody
 believes" up to the saturation bound |states| * |group| + 1, each level
 computed by literally unfolding the belief operator.  Exponential, so only
@@ -14,7 +18,7 @@ from ambilogic import formula as fm
 
 
 def eval_brute(m, state, agent, f, mode):
-    return _ev(m, state, agent, fm.expand(f, m.props[0]), mode)
+    return _ev(m, state, agent, f, mode)
 
 
 def _reader(mode, agent, j):
@@ -22,7 +26,7 @@ def _reader(mode, agent, j):
 
 
 def _conditioning_event(m, mode, agent, j, state):
-    sig = fm.expand(m.signals[j][state], m.props[0])
+    sig = m.signals[j][state]
     reader = _reader(mode, agent, j)
     return frozenset(s for s in m.states if _ev(m, s, reader, sig, mode))
 
@@ -47,13 +51,28 @@ def _ev(m, state, agent, f, mode):
     if isinstance(f, fm.And):
         return (_ev(m, state, agent, f.left, mode)
                 and _ev(m, state, agent, f.right, mode))
+    if isinstance(f, (fm.TrueF, fm.FalseF)):
+        return isinstance(f, fm.TrueF)
+    if isinstance(f, fm.Or):
+        return (_ev(m, state, agent, f.left, mode)
+                or _ev(m, state, agent, f.right, mode))
+    if isinstance(f, fm.Implies):
+        return (not _ev(m, state, agent, f.left, mode)
+                or _ev(m, state, agent, f.right, mode))
+    if isinstance(f, fm.Iff):
+        return (_ev(m, state, agent, f.left, mode)
+                == _ev(m, state, agent, f.right, mode))
+    if isinstance(f, fm.B):
+        return _eb(m, state, agent, {f.agent}, f.arg, 1, mode)
+    if isinstance(f, fm.EB):
+        return _eb(m, state, agent, f.group, f.arg, f.power, mode)
     if isinstance(f, fm.ProbGe):
         return prob_value_brute(m, state, agent, f, mode) >= f.bound
     if isinstance(f, fm.CB):
         bound = len(m.states) * len(f.group) + 1
         return all(_eb(m, state, agent, f.group, f.arg, k, mode)
                    for k in range(1, bound + 1))
-    raise TypeError("not a core formula: %r" % (f,))
+    raise TypeError("not a formula: %r" % (f,))
 
 
 def prob_value_brute(m, state, agent, f, mode):

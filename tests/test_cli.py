@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ambilogic.cli import main
+from ambilogic.modes import EvalMode
 from ambilogic.structure import dump_structure, loads_structure
 
 from demo_models import MODELS, m_sig
@@ -174,8 +175,65 @@ def test_eval_missing_prior_exits_1(tmp_path, capsys):
                  "--state", "a", "--agent", "1", "--mode", "ou-ai"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "prior-missing for agent 2" in err
+    assert "prior-missing: agent 2 has no prior" in err
     assert "internal error" not in err
+
+
+def _broken_copy(tmp_path, name, edit):
+    with open(MODELS / name, encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / ("broken_" + name)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _measure_sums_to_2(data):
+    data["beliefs"]["2"][0]["measure"]["w1"] = "3/2"
+
+
+def _partition_misses_w2(data):
+    data["partitions"]["1"] = [["w1"]]
+    data["beliefs"]["1"] = [{"measure": {"w1": "1"}}]
+
+
+def _prior_sums_to_2(data):
+    data["priors"]["1"]["a"] = "3/2"
+
+
+@pytest.mark.parametrize("name, edit, state, kind", [
+    ("m_red.json", _measure_sums_to_2, "w2", "measure-sum"),
+    ("m_red.json", _partition_misses_w2, "w2", "partition-cover"),
+    ("m_ai.json", _prior_sums_to_2, "a", "prior-sum"),
+])
+@pytest.mark.parametrize("formula", ["p", "B1 p", "CB{1,2} p",
+                                     "Pr2(p) >= 1"])
+@pytest.mark.parametrize("mode", [m.value for m in EvalMode])
+def test_eval_refuses_structure_failing_core_checks(
+        name, edit, state, kind, formula, mode, tmp_path, capsys):
+    path = _broken_copy(tmp_path, name, edit)
+    code = main(["eval", "--model", path, "--formula", formula,
+                 "--state", state, "--agent", "1", "--mode", mode,
+                 "--show-value"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: structure fails core checks: ")
+    assert kind + ": " in captured.err
+
+
+def test_validate_skips_signal_checks_on_invalid_core(tmp_path, capsys):
+    def drop_agent_1_cell(data):
+        data["partitions"]["1"] = []
+        data["beliefs"]["1"] = []
+    path = _broken_copy(tmp_path, "m_ai.json", drop_agent_1_cell)
+    assert main(["validate", "--model", path]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    assert "partition-cover" in {v["kind"] for v in report["violations"]}
+    assert not any(v["kind"].startswith("signal-")
+                   for v in report["violations"])
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("missing, command, kind", [

@@ -228,6 +228,48 @@ def test_deep_parentheses_are_a_named_error():
         fm.parse("(" * 3000 + "p" + ")" * 3000)
 
 
+def _pr_half(f):
+    return fm.ProbGe(((Fraction(1), 1, f),), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("wrap", [
+    _pr_half,  # Pr1(Pr1(...) >= 1/2) >= 1/2
+    lambda f: fm.Implies(f, fm.Prop("q")),  # ((p -> q) -> q) -> q
+    lambda f: fm.And(fm.Prop("q"), f),  # q & (q & (q & p))
+    lambda f: fm.And(f, fm.Prop("q")),  # p & q & q & q
+], ids=["pr", "parentheses", "and-right", "and-left"])
+def test_parse_inverts_print_up_to_max_depth(wrap):
+    g = fm.Prop("p")
+    for _ in range(fm.MAX_DEPTH - 1):
+        g = wrap(g)
+    assert fm.facts(g).depth == fm.MAX_DEPTH
+    assert fm.parse(fm.print_formula(g)) == g
+    with pytest.raises(FormulaTooDeep, match="print"):
+        fm.print_formula(wrap(g))
+
+
+def _called_below(frames, fn):
+    return fn() if frames == 0 else _called_below(frames - 1, fn)
+
+
+def test_parse_counts_its_own_nesting():
+    def text(n):
+        return "Pr1(" * n + "p" + ") >= 1/2" * n
+    # The formula and its MAX_DEPTH - 1 arguments: MAX_DEPTH levels.
+    at_limit = text(fm.MAX_DEPTH - 1)
+    expected = fm.parse(at_limit)
+    assert fm.facts(expected).depth == fm.MAX_DEPTH
+    # The verdict does not depend on the caller's stack.
+    assert _called_below(200, lambda: fm.parse(at_limit)) == expected
+    for too_deep in (text(fm.MAX_DEPTH), "(" * fm.MAX_DEPTH + "p"
+                     + ")" * fm.MAX_DEPTH):
+        with pytest.raises(FormulaTooDeep, match="cannot parse a formula "
+                           "nested more than %d deep" % fm.MAX_DEPTH):
+            _called_below(200, lambda: fm.parse(too_deep))
+    assert fm.parse("(" * (fm.MAX_DEPTH - 1) + "p"
+                    + ")" * (fm.MAX_DEPTH - 1)) == fm.Prop("p")
+
+
 def test_facts_are_kept_per_node():
     f = fm.parse("Pr2(p@1 & q) >= 1/2 | !CB{3,1} true")
     got = fm.facts(f)

@@ -1,24 +1,27 @@
 """Property tests: ``Evaluator`` against the brute-force ``tests/oracle.py``
-on small structures that Hypothesis draws, in the cell modes and in the
+on small structures and surface formulas that Hypothesis draws, in the
+cell modes, in common mode with indexed propositions, and in the
 plain-signal ``ou-ai``/``in-ai`` modes, with states of prior mass zero."""
 
-import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambilogic import formula as fm
-from ambilogic.errors import UndefinedConditional
-from ambilogic.generators import random_core_formula
+from ambilogic.errors import CoreInvalid, UndefinedConditional
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator
 from ambilogic.structure import Structure, generate_priors, singleton_cell
 from ambilogic.transforms import attach_cell_signals, fix_interpretation
+from ambilogic.translation import lift_to_indexed
 
 from oracle import eval_brute
 
 PROPS = ("p", "q")
+BOUNDS = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2, 3)})
+COEFFS = [r for r in BOUNDS if r]
 
 
 @st.composite
@@ -53,20 +56,43 @@ def structures(draw):
                      interpretations=interpretations)
 
 
-def _formulas(seed, m, common_belief):
-    """Random core formulas; common belief only where the oracle's
-    unfolding of it stays small (|states| * |group| <= 4, one per
-    formula)."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < 4:
-        f = random_core_formula(rng, list(PROPS), m.n_agents,
-                                rng.randint(1, 3))
-        groups = [g.group for g in fm.subformulas(f) if isinstance(g, fm.CB)]
-        if not groups or (common_belief and len(groups) == 1
-                          and len(m.states) * len(groups[0]) <= 4):
-            out.append(f)
-    return out
+def _comparison(agent, terms, bound):
+    return fm.ProbGe(tuple((c, agent, f) for c, f in terms), bound)
+
+
+def surface_formulas(m, atoms, common_belief):
+    """Formulas over ``atoms`` with every abbreviation.  Common belief only
+    where the oracle's unfolding of it stays small (|states| * |group| <= 4,
+    one per formula)."""
+    agents = st.integers(1, m.n_agents)
+    cb_size = 4 // len(m.states) if common_belief else 0
+
+    def extend(sub):
+        nodes = [
+            st.builds(fm.Not, sub),
+            st.builds(fm.And, sub, sub),
+            st.builds(fm.Or, sub, sub),
+            st.builds(fm.Implies, sub, sub),
+            st.builds(fm.Iff, sub, sub),
+            st.builds(fm.B, agents, sub),
+            st.builds(fm.EB, st.frozensets(agents, min_size=1),
+                      st.integers(1, 3), sub),
+            st.builds(_comparison, agents,
+                      st.lists(st.tuples(st.sampled_from(COEFFS), sub),
+                               min_size=1, max_size=2),
+                      st.sampled_from(BOUNDS)),
+        ]
+        if cb_size:
+            nodes.append(st.builds(fm.CB, st.frozensets(
+                agents, min_size=1, max_size=cb_size), sub))
+        return st.one_of(nodes)
+
+    leaves = st.sampled_from([*atoms, fm.TrueF(), fm.FalseF()])
+    return st.lists(
+        st.recursive(leaves, extend, max_leaves=4).filter(
+            lambda f: sum(isinstance(g, fm.CB)
+                          for g in fm.subformulas(f)) <= 1),
+        min_size=1, max_size=3)
 
 
 def _agree(m, formulas, modes):
@@ -85,22 +111,37 @@ def _agree(m, formulas, modes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(structures(), st.integers(0, 2 ** 32 - 1))
-def test_cell_modes_match_oracle(m, seed):
-    formulas = _formulas(seed, m, common_belief=True)
+@given(structures(), st.data())
+def test_cell_modes_match_oracle(m, data):
+    plain = [fm.Prop(p) for p in PROPS]
+    formulas = data.draw(surface_formulas(m, plain, True), label="formulas")
+    # E^2 and E^1 differ on few drawn structures; these make it likelier.
+    formulas += [fm.EB(frozenset(m.agents), 2, fm.parse(text))
+                 for text in ("p", "!q", "p | q", "p -> q")]
     _agree(m, formulas, (EvalMode.OUTERMOST, EvalMode.INNERMOST))
     _agree(fix_interpretation(m, 1), formulas, (EvalMode.COMMON,))
+    indexed = [fm.IndexedProp(p, i) for p in PROPS for i in m.agents]
+    _agree(lift_to_indexed(m),
+           data.draw(surface_formulas(m, indexed, True), label="indexed"),
+           (EvalMode.COMMON,))
 
 
 @settings(max_examples=60, deadline=None)
-@given(structures(), st.integers(0, 2 ** 32 - 1), st.data())
-def test_plain_signal_modes_match_oracle(m, seed, data):
+@given(structures(), st.data())
+def test_plain_signal_modes_match_oracle(m, data):
     m, _ = attach_cell_signals(m.replace(priors=generate_priors(m)))
     if data.draw(st.booleans(), label="zero a prior state"):
         agent = data.draw(st.sampled_from(m.agents), label="agent")
         state = data.draw(st.sampled_from(m.states), label="state")
-        priors = {i: dict(nu) for i, nu in m.priors.items()}
-        priors[agent][state] = Fraction(0)
-        m = m.replace(priors=priors)
-    _agree(m, _formulas(seed, m, common_belief=False),
+        nu = dict(m.priors[agent], **{state: Fraction(0)})
+        total = sum(nu.values())
+        if total != 1:  # an unnormalized prior is refused
+            with pytest.raises(CoreInvalid, match="prior-sum: agent %d "
+                               % agent):
+                Evaluator(m.replace(priors={**m.priors, agent: nu}))
+        if total:  # renormalized, so the state keeps prior mass zero
+            m = m.replace(priors={**m.priors, agent: {
+                s: v / total for s, v in nu.items()}})
+    plain = [fm.Prop(p) for p in PROPS]
+    _agree(m, data.draw(surface_formulas(m, plain, False), label="formulas"),
            (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI))

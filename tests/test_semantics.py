@@ -1,12 +1,14 @@
 import gc
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ambilogic import formula as fm
 from ambilogic.errors import (
+    CoreInvalid,
     ModePrereqMissing,
     MissingSignals,
     UndefinedConditional,
@@ -26,7 +28,7 @@ from ambilogic.modes import EvalMode
 from ambilogic import semantics
 from ambilogic.campaign import CHECK_NAMES, Campaign, run_campaign
 from ambilogic.semantics import Evaluator, valid_in_model
-from ambilogic.structure import Structure, singleton_cell
+from ambilogic.structure import Structure, singleton_cell, validate_core
 from ambilogic.transforms import fix_interpretation
 from ambilogic.translation import translate_in
 
@@ -251,6 +253,72 @@ def test_ai_modes_require_priors_and_signals():
     with pytest.raises(ModePrereqMissing):
         Evaluator(no_priors).evaluate("w1", 1, fm.parse("Pr1(p) >= 1"),
                                       IN_AI)
+
+
+def _perturbed(rng, m):
+    """m with at most one fault planted: a cell mass raised by 1/3 or
+    negated, a prior mass lowered by 1/7 or a prior dropped, a cell dropped
+    or widened over a state of another cell, an interpretation dropped.
+    Some plants change nothing (negating a zero mass), so some come back
+    valid."""
+    i = rng.choice(m.agents)
+    cells, spaces = list(m.partitions[i]), list(m.beliefs[i])
+    ci = rng.randrange(len(cells))
+    kind = rng.randrange(8)
+    if kind < 2:
+        masses = list(spaces[ci].masses)
+        k = rng.randrange(len(masses))
+        masses[k] = masses[k] + Fraction(1, 3) if kind else -masses[k]
+        spaces[ci] = replace(spaces[ci], masses=tuple(masses))
+    elif kind < 4 and m.priors is not None:
+        priors = dict(m.priors)
+        if kind == 2:
+            s = rng.choice(m.states)
+            priors[i] = dict(priors[i], **{s: priors[i][s] - Fraction(1, 7)})
+        else:
+            del priors[i]
+        return m.replace(priors=priors)
+    elif kind == 4:
+        del cells[ci], spaces[ci]
+    elif kind == 5:
+        cells[ci] |= {rng.choice(m.states)}
+    elif kind == 6:
+        interpretation = dict(m.interpretations[i])
+        del interpretation[rng.choice(m.props)]
+        return m.replace(interpretations={**m.interpretations,
+                                          i: interpretation})
+    else:
+        return m
+    return m.replace(partitions={**m.partitions, i: tuple(cells)},
+                     beliefs={**m.beliefs, i: tuple(spaces)})
+
+
+def test_every_evaluator_refuses_a_structure_failing_core_checks():
+    rng = random.Random(41)
+    bounds = GenBounds(max_states=5, max_agents=3, max_props=2)
+    refused = accepted = 0
+    for trial in range(1600):
+        m = (random_signal_structure(rng, bounds) if trial % 2
+             else random_structure(rng, bounds, common=trial % 4 == 2))
+        m = _perturbed(rng, m)
+        report = validate_core(m)
+        for entry in report.entries:
+            if entry.kind in ("measure-sum", "prior-sum"):
+                agent, cell = entry.context["agent"], entry.context.get("cell")
+                masses = (m.beliefs[agent][cell].masses if cell is not None
+                          else m.priors[agent].values())
+                assert entry.context["total"] == str(sum(masses, Fraction(0)))
+        if report.ok:
+            ev = Evaluator(m)
+            assert ev.extension(1, fm.Prop(m.props[0]), OU) \
+                == m.interpretations[1][m.props[0]]
+            accepted += 1
+            continue
+        with pytest.raises(CoreInvalid) as info:
+            Evaluator(m)
+        assert str(info.value) == "structure fails core checks: %s" % report
+        refused += 1
+    assert refused >= 1000 and accepted >= 100, (refused, accepted)
 
 
 def test_outermost_ai_rejects_broken_cross_reading():

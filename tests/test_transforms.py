@@ -218,3 +218,22 @@ def test_transform_equivalences_on_random_structures():
         assert verify_transform_equivalence(
             common, labelled, None, corpus2,
             TransformClaim("label-partitions")).ok
+
+
+def test_thm1_da_records_an_invalid_labelled_structure(monkeypatch):
+    """An invalid transform output is a counterexample, caught before the
+    replay, whose evaluators would refuse it."""
+    from ambilogic import campaign
+
+    def drop_agent_1_cells(m, state):
+        labelled, table = label_partitions(m, state)
+        return labelled.replace(partitions={**labelled.partitions, 1: ()},
+                                beliefs={**labelled.beliefs, 1: ()}), table
+
+    monkeypatch.setattr(campaign, "label_partitions", drop_agent_1_cells)
+    report = campaign.run_campaign(
+        campaign.Campaign(seed=3, trials=2, checks=("thm1-da",)))
+    result = report.results["thm1-da"]
+    assert result.failures == 2
+    assert result.first_counterexample["reason"] \
+        == "labelled structure invalid"
