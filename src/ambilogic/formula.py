@@ -26,7 +26,7 @@ recurse and refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Union
@@ -44,10 +44,14 @@ __all__ = [
 
 # --- AST ---
 
+_FIELDS = {}  # node class -> the names of its fields
+
+
 def _node(cls, facts=True):
     """Make ``cls`` a frozen dataclass whose instances hash once, and with
     ``facts`` compute their ``Facts`` once, when built.  Children are built
-    first, so neither recurses however deep a formula nests."""
+    first, so neither recurses however deep a formula nests; nor does
+    ``==`` (``_node_eq``)."""
     cls = dataclass(frozen=True)(cls)
     init, field_hash = cls.__init__, cls.__hash__
 
@@ -59,7 +63,35 @@ def _node(cls, facts=True):
 
     cls.__init__ = __init__
     cls.__hash__ = lambda self: self._hash
+    cls.__eq__ = _node_eq
+    _FIELDS[cls] = tuple(f.name for f in fields(cls))
     return cls
+
+
+def _node_eq(self, other):
+    """The dataclass's ``==``, field by field, with the subformulas walked
+    on an explicit stack; a shared part is skipped and nodes of unequal
+    hashes differ."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a._hash != b._hash:
+            return False
+        for name in _FIELDS[a.__class__]:
+            x, y = getattr(a, name), getattr(b, name)
+            if x.__class__ is tuple:  # the terms of a comparison
+                if len(x) != len(y):
+                    return False
+                stack.extend(zip(x, y))
+            elif x.__class__ in _FIELDS:
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 @_node
@@ -562,8 +594,8 @@ def print_formula(f: SurfaceFormula, sugar_beliefs: bool = False) -> str:
 # --- Per-node facts, abbreviation expansion and syntactic utilities ---
 
 # Deepest nesting the recursive parser, printer and expansion accept: at
-# most five interpreter frames a level (seven to compare two formulas) keep
-# them all inside Python's default limit of 1,000.
+# most five interpreter frames a level keep them all inside Python's
+# default limit of 1,000.  Comparing two formulas takes any depth.
 MAX_DEPTH = 100
 
 

@@ -65,7 +65,7 @@ class CellBeliefs:
     def __post_init__(self):
         support = frozenset().union(
             *(atom for atom, mass in zip(self.atoms, self.masses)
-              if mass > 0)) if self.atoms else frozenset()
+              if mass.numerator > 0)) if self.atoms else frozenset()
         point = None
         if all(len(atom) == 1 for atom in self.atoms):
             point = {min(atom): mass
@@ -103,10 +103,12 @@ class CellBeliefs:
 def singleton_cell(states, masses) -> CellBeliefs:
     """Cell with the powerset algebra: one atom per state."""
     names = sorted(masses)
+    values = [masses[s] for s in names]
     return CellBeliefs(
         states=frozenset(states),
         atoms=tuple(frozenset([s]) for s in names),
-        masses=tuple(Fraction(masses[s]) for s in names),
+        masses=tuple(v if type(v) is Fraction else Fraction(v)
+                     for v in values),
     )
 
 
@@ -233,17 +235,22 @@ def validate_core(m: Structure) -> Report:
 
     for i in m.agents:
         for ci, (cell, cb) in enumerate(zip(m.partitions[i], m.beliefs[i])):
-            covered = set()
-            bad_atoms = False
-            for atom in cb.atoms:
-                if not atom or not atom <= cell or (covered & atom):
-                    bad_atoms = True
-                covered |= atom
-            if bad_atoms or covered != cell or cb.states != cell:
-                report.add("cell-sample-space",
-                           "agent %d cell %d: atoms do not partition the cell"
-                           % (i, ci), agent=i, cell=ci)
-                continue
+            point = cb._point
+            # Distinct singleton atoms covering exactly the cell partition
+            # it; any other cell takes the set operations below.
+            if (point is None or len(point) != len(cb.atoms)
+                    or point.keys() != cell or cb.states != cell):
+                covered = set()
+                bad_atoms = False
+                for atom in cb.atoms:
+                    if not atom or not atom <= cell or (covered & atom):
+                        bad_atoms = True
+                    covered |= atom
+                if bad_atoms or covered != cell or cb.states != cell:
+                    report.add("cell-sample-space",
+                               "agent %d cell %d: atoms do not partition "
+                               "the cell" % (i, ci), agent=i, cell=ci)
+                    continue
             if any(mass.numerator < 0 for mass in cb.masses):
                 report.add("measure-negative",
                            "agent %d cell %d has a negative mass" % (i, ci),
@@ -349,15 +356,20 @@ def validate_signals(m: Structure, ev=None) -> Report:
         ev = Evaluator(m)
     report = Report()
     readings = {}  # signal -> {reader: frozenset}, None if not propositional
-    exts = {}  # (owner, state) -> that state's signal's readings
+    owned = {}  # owner -> {signal: (its readings, the states it is sent at)}
     for i in m.agents:
         per_agent = m.signals.get(i, {})
+        groups = owned[i] = {}
         for s in m.states:
             sig = per_agent.get(s)
             if sig is None:
                 report.add("signal-missing",
                            "agent %d has no signal at state %s" % (i, s),
                            agent=i, state=s)
+                continue
+            group = groups.get(sig)
+            if group is not None:
+                group[1].append(s)
                 continue
             reading = readings.get(sig, False)
             if reading is False:
@@ -371,13 +383,18 @@ def validate_signals(m: Structure, ev=None) -> Report:
                            % (i, s), agent=i, state=s,
                            signal=fm.print_formula(sig))
                 continue
-            exts[i, s] = reading
+            groups[sig] = (reading, [s])
 
-    for i in m.agents:
-        for s in m.states:
-            reading = exts.get((i, s))
-            if reading is None:
-                continue
+    # Each check runs once per distinct signal of an owner; where one
+    # fails, the states are walked one by one to report each.  The core is
+    # valid, so cells are disjoint: a reading that is the cell of a group's
+    # first state and holds the whole group is the cell of each state in it.
+    for i, groups in owned.items():
+        if all(reading[i] == m.cell_of(i, states[0])
+               and reading[i].issuperset(states)
+               for reading, states in groups.values()):
+            continue
+        for s, reading in _state_readings(m, groups):
             ext = reading[i]
             cell = m.cell_of(i, s)
             if ext != cell:
@@ -388,19 +405,20 @@ def validate_signals(m: Structure, ev=None) -> Report:
                     agent=i, state=s, extension=sorted(ext))
 
     universe = m.universe
-    for i in m.agents:
-        if not all((i, s) in exts for s in m.states):
+    for i, groups in owned.items():
+        if sum(len(states) for _, states in groups.values()) != len(universe):
             continue
-        owned = [exts[i, s] for s in m.states]
         for j in m.agents:
-            for s, reading in zip(m.states, owned):
-                if s not in reading[j]:
-                    report.add(
-                        "signal-membership",
-                        "state %s lies outside agent %d's reading of agent "
-                        "%d's signal there" % (s, j, i),
-                        owner=i, reader=j, state=s)
-            blocks = {reading[j] for reading in owned}
+            if not all(reading[j].issuperset(states)
+                       for reading, states in groups.values()):
+                for s, reading in _state_readings(m, groups):
+                    if s not in reading[j]:
+                        report.add(
+                            "signal-membership",
+                            "state %s lies outside agent %d's reading of "
+                            "agent %d's signal there" % (s, j, i),
+                            owner=i, reader=j, state=s)
+            blocks = {reading[j] for reading, _ in groups.values()}
             covered = set()
             disjoint = True
             for block in blocks:
@@ -415,6 +433,13 @@ def validate_signals(m: Structure, ev=None) -> Report:
                     owner=i, reader=j,
                     blocks=sorted(sorted(b) for b in blocks))
     return report
+
+
+def _state_readings(m: Structure, groups: dict) -> list:
+    """(state, its signal's readings) in state order, from an owner's
+    signal groups."""
+    at = {s: reading for reading, states in groups.values() for s in states}
+    return [(s, at[s]) for s in m.states if s in at]
 
 
 def generate_priors(m: Structure) -> dict:
@@ -479,17 +504,26 @@ def is_common_interpretation(m: Structure) -> bool:
 
 # --- Serialization (JSON, exact rationals as strings) ---
 
+# The forms ``structure_to_dict`` writes, read with ``int``; ``Fraction``
+# parses any other string, with the same value and the same errors.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(value, where: str) -> Fraction:
+    if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        try:
+            if plain is None:
+                return Fraction(value)
+            num, den = plain.groups()
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ModelFormatError("%s: bad rational %r" % (where, value))
     if isinstance(value, bool) or isinstance(value, float):
         raise ModelFormatError("%s: floating point or boolean rejected, "
                                "use \"num/den\" strings" % where)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ModelFormatError("%s: bad rational %r" % (where, value))
     raise ModelFormatError("%s: bad rational %r" % (where, value))
 
 
@@ -514,6 +548,16 @@ def structure_from_dict(data: dict) -> Structure:
             if s not in state_set:
                 raise ModelFormatError("%s: unknown state %r" % (where, s))
         return out
+
+    texts = {}  # equal strings share one Fraction, parsed once
+
+    def rational(value, where):
+        if not isinstance(value, str):
+            return _rational(value, where)
+        got = texts.get(value)
+        if got is None:
+            got = texts[value] = _rational(value, where)
+        return got
 
     def agent_map(key, required=True):
         block = data.get(key)
@@ -554,14 +598,14 @@ def structure_from_dict(data: dict) -> Structure:
                     if raw is None:
                         raise ModelFormatError(
                             "%s: measure missing atom index %d" % (where, idx))
-                    masses.append(_rational(raw, where))
+                    masses.append(rational(raw, where))
                 built.append(CellBeliefs(frozenset(cell), atoms,
                                          tuple(masses)))
             else:
                 measure = {}
                 for s in cell:
                     raw = spec["measure"].get(s, 0)
-                    measure[s] = _rational(raw, where)
+                    measure[s] = rational(raw, where)
                 extra = set(spec["measure"]) - set(cell)
                 if extra:
                     raise ModelFormatError("%s: measure names states outside "
@@ -586,7 +630,7 @@ def structure_from_dict(data: dict) -> Structure:
                 if s not in state_set:
                     raise ModelFormatError("priors[%d]: unknown state %r"
                                            % (i, s))
-                out[s] = _rational(v, "priors[%d][%s]" % (i, s))
+                out[s] = rational(v, "priors[%d][%s]" % (i, s))
             priors[i] = out
 
     signals = None

@@ -211,6 +211,22 @@ def test_long_prefix_chains_parse_without_recursion():
     assert fm.agents_in(g) == {1, 2} and fm.facts(g).depth == 1003
 
 
+def test_equal_deep_formulas_compare_without_recursion():
+    first, second = _negations(3000), _negations(3000)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != _negations(3000, "q") and first != _negations(2999)
+    # Deep probability terms, with conjunctions inside them.
+    def chain(leaf):
+        g = fm.Prop(leaf)
+        for k in range(3000):
+            g = _pr_half(g) if k % 2 else fm.And(fm.parse("q & !p"), g)
+        return g
+    assert chain("p") == chain("p") and chain("p") != chain("q")
+    assert chain("p").terms == chain("p").terms
+    assert fm.Prop("p") != "p" and fm.TrueF() == fm.TrueF() != fm.FalseF()
+
+
 def test_printer_and_expand_refuse_past_max_depth():
     at_limit = _negations(fm.MAX_DEPTH - 1)
     assert fm.parse(fm.print_formula(at_limit)) == at_limit

@@ -596,6 +596,14 @@ def test_deep_chains_evaluate_without_recursion():
         Evaluator(m).extension(1, fm.parse("CB{1,2} p"), IN)
 
 
+def test_repeated_deep_query_parsed_twice_is_answered():
+    ev = Evaluator(m_red())
+    first, second = (fm.parse("!" * 3000 + "p") for _ in range(2))
+    assert ev.extension(1, first, IN) == frozenset({"w1"})
+    assert ev.extension(1, second, IN) == frozenset({"w1"})
+    assert ev.evaluate("w1", 1, second, IN)
+
+
 def test_expanded_group_belief_is_planned_once_per_node(monkeypatch):
     calls = []
     node_facts = fm._node_facts

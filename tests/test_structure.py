@@ -378,3 +378,126 @@ def test_structure_requires_aligned_cells():
     m = m_red()
     with pytest.raises(ModelFormatError):
         m.replace(beliefs={1: m.beliefs[1], 2: ()})
+
+
+# --- Rationals: the forms the writer uses are read with int, any other
+# string through Fraction; values and messages are those of Fraction alone.
+
+def _with_w1_mass(raw):
+    """m_red's JSON with agent 2's mass at w1 set to ``raw``."""
+    blob = structure_to_dict(m_red())
+    blob["beliefs"]["2"][0]["measure"]["w1"] = raw
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1/2", "1/2"), ("-3/6", "-1/2"), ("007/010", "7/10"), ("-0", "0"),
+    ("+1/2", "1/2"), (" 1/2 ", "1/2"), ("0.5", "1/2"), ("1e3", "1000"),
+    ("٣/4", "3/4"), (2, "2"),
+])
+def test_loader_reads_rationals(raw, value):
+    m = loads_structure(_with_w1_mass(raw))
+    mass = m.cell_beliefs(2, "w1").measure(frozenset({"w1"}))
+    assert type(mass) is Fraction and mass == Fraction(value)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("1/0", "bad rational '1/0'"),
+    ("1/-2", "bad rational '1/-2'"),
+    ("", "bad rational ''"),
+    ("1//2", "bad rational '1//2'"),
+    ("7" * 5000, "bad rational '%s'" % ("7" * 5000)),
+    (True, 'floating point or boolean rejected, use "num/den" strings'),
+    (False, 'floating point or boolean rejected, use "num/den" strings'),
+    (None, "bad rational None"),
+])
+def test_loader_rejects_bad_rationals(raw, message):
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(_with_w1_mass(raw))
+    assert str(exc.value) == "beliefs[2][0]: " + message
+
+
+def test_loader_rejects_json_floats_by_name():
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(_with_w1_mass("1/2").replace('"1/2"', "0.5", 1))
+    assert str(exc.value) == "floating point rejected: 0.5"
+
+
+# --- Reports keep their entries, contexts and order ---
+
+def _entries(report):
+    return [(v.kind, v.message, v.context) for v in report.entries]
+
+
+def _red_with_atoms(agent, atoms, measure):
+    blob = structure_to_dict(m_red())
+    blob["beliefs"][agent][0] = {"atoms": atoms, "measure": measure}
+    return loads_structure(json.dumps(blob))
+
+
+@pytest.mark.parametrize("agent, atoms, measure", [
+    ("2", [["w1"], ["w1"], ["w2"]], {"0": "1/2", "1": "0", "2": "1/2"}),
+    ("1", [["w1"], ["w2"]], {"0": "1", "1": "0"}),  # w2 is outside
+    ("2", [["w1"]], {"0": "1"}),  # w2 is missing
+], ids=["duplicate", "outside", "missing"])
+def test_point_mass_cell_that_is_no_partition(agent, atoms, measure):
+    m = _red_with_atoms(agent, atoms, measure)
+    i = int(agent)
+    assert m.beliefs[i][0]._point is not None
+    assert _entries(validate_core(m)) == [
+        ("cell-sample-space",
+         "agent %d cell 0: atoms do not partition the cell" % i,
+         {"agent": i, "cell": 0})]
+
+
+SIX = ["w1", "w2", "w3", "w4", "w5", "w6"]
+
+
+def _six(reading_1, reading_2, sends_a=SIX[:3]):
+    """Agent 1 tells w1-w3 from w4-w6 and sends a at ``sends_a``, !a
+    elsewhere; agent 2 tells nothing.  Agent i reads a as ``reading_i``."""
+    return loads_structure(json.dumps({
+        "agents": 2, "states": SIX, "props": ["a"],
+        "partitions": {"1": [SIX[:3], SIX[3:]], "2": [SIX]},
+        "beliefs": {"1": [{"measure": {s: "1/3" for s in SIX[:3]}},
+                          {"measure": {s: "1/3" for s in SIX[3:]}}],
+                    "2": [{"measure": {s: "1/6" for s in SIX}}]},
+        "interpretations": {"1": {"a": reading_1}, "2": {"a": reading_2}},
+        "priors": {i: {s: "1/6" for s in SIX} for i in ("1", "2")},
+        "signals": {"1": {s: "a" if s in sends_a else "!a" for s in SIX},
+                    "2": {s: "a | !a" for s in SIX}},
+    }))
+
+
+def test_signal_reports_of_six_state_groups():
+    assert validate_signals(_six(SIX[:3], SIX[:3])).ok
+    # The middle state of a's group lies outside agent 2's reading of a.
+    assert _entries(validate_signals(_six(SIX[:3], ["w1", "w3"]))) == [
+        ("signal-membership",
+         "state w2 lies outside agent 2's reading of agent 1's signal there",
+         {"owner": 1, "reader": 2, "state": "w2"})]
+    # Agent 1 reads its own a as {w1, w2}, which is not its cell.
+    assert _entries(validate_signals(_six(["w1", "w2"], SIX[:3]))) == [
+        ("signal-cell", "agent 1's signal at %s denotes {w1, w2}, not his "
+         "cell {w1, w2, w3}" % s, {"agent": 1, "state": s,
+                                   "extension": ["w1", "w2"]})
+        for s in SIX[:3]
+    ] + [
+        ("signal-cell", "agent 1's signal at %s denotes {w3, w4, w5, w6}, "
+         "not his cell {w4, w5, w6}" % s,
+         {"agent": 1, "state": s, "extension": ["w3", "w4", "w5", "w6"]})
+        for s in SIX[3:]
+    ] + [
+        ("signal-membership",
+         "state w3 lies outside agent 1's reading of agent 1's signal there",
+         {"owner": 1, "reader": 1, "state": "w3"})]
+    # Agent 1 sends a at w4 too, where a is not his cell.
+    assert _entries(validate_signals(_six(SIX[:3], SIX[:3], SIX[:4]))) == [
+        ("signal-cell", "agent 1's signal at w4 denotes {w1, w2, w3}, not "
+         "his cell {w4, w5, w6}",
+         {"agent": 1, "state": "w4", "extension": ["w1", "w2", "w3"]})
+    ] + [
+        ("signal-membership",
+         "state w4 lies outside agent %d's reading of agent 1's signal "
+         "there" % j, {"owner": 1, "reader": j, "state": "w4"})
+        for j in (1, 2)]
