@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
@@ -48,29 +47,41 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Campaign:
-    seed: int = 0
-    trials: int = 100
-    bounds: GenBounds = field(default_factory=GenBounds)
-    checks: tuple = CHECK_NAMES
-    naive_cb: bool = False  # testing hook: corrupt the innermost translation
+class Campaign(fm.Frozen):
+    """What to check, how often, from which seed; ``naive_cb`` is a testing
+    hook that corrupts the innermost translation."""
 
-    def __post_init__(self):
-        if self.trials < 1:
+    __slots__ = _fields = ("seed", "trials", "bounds", "checks", "naive_cb")
+
+    def __init__(self, seed: int = 0, trials: int = 100,
+                 bounds: GenBounds = None, checks: tuple = CHECK_NAMES,
+                 naive_cb: bool = False):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        unknown = set(self.checks) - set(CHECK_NAMES)
+        unknown = set(checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+        self._init(seed, trials, GenBounds() if bounds is None else bounds,
+                   checks, naive_cb)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    trials: int = 0
-    failures: int = 0
-    first_counterexample: dict = None
-    elapsed_s: float = 0.0
+    __slots__ = ("name", "trials", "failures", "first_counterexample",
+                 "elapsed_s")
+
+    def __init__(self, name: str, trials: int = 0, failures: int = 0,
+                 first_counterexample: dict = None, elapsed_s: float = 0.0):
+        self.name = name
+        self.trials = trials
+        self.failures = failures
+        self.first_counterexample = first_counterexample
+        self.elapsed_s = elapsed_s
+
+    def __repr__(self) -> str:
+        return ("CheckResult(name=%r, trials=%r, failures=%r, "
+                "first_counterexample=%r, elapsed_s=%r)"
+                % (self.name, self.trials, self.failures,
+                   self.first_counterexample, self.elapsed_s))
 
     def to_dict(self) -> dict:
         return {
@@ -81,10 +92,16 @@ class CheckResult:
         }
 
 
-@dataclass
 class CampaignReport:
-    campaign: Campaign
-    results: dict = field(default_factory=dict)
+    __slots__ = ("campaign", "results")
+
+    def __init__(self, campaign: Campaign, results: dict = None):
+        self.campaign = campaign
+        self.results = {} if results is None else results
+
+    def __repr__(self) -> str:
+        return "CampaignReport(campaign=%r, results=%r)" % (
+            self.campaign, self.results)
 
     @property
     def ok(self) -> bool:

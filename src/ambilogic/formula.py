@@ -16,17 +16,20 @@ disjunction, implication, biconditional, individual belief ``Bj f``
 removes all abbreviations; ``parse`` and ``print_formula`` convert between
 text and ASTs and are mutually inverse on ASTs.
 
-Formulas are compiled once, on the immutable nodes: a node computes its
-hash and its plan, ``facts``, from its children's when it is built, and
-keeps its expansion once asked.  Every ``Evaluator`` shares them, and a
-DAG costs one step per distinct node.  The parser, printer and ``expand``
-recurse and refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
+The nodes are plain slotted classes on the ``Frozen`` base, which the
+package's other value classes share: immutable, compared and hashed by
+value, and built by a hand-written ``__init__`` with no code generated
+when a class is defined.  Formulas are compiled once, on the nodes: a
+node computes its hash and its plan, ``facts``, from its children's when
+it is built, and keeps its expansion once asked.  Every ``Evaluator``
+shares them, and a DAG costs one step per distinct node.  The parser,
+printer and ``expand`` recurse and refuse formulas nested over
+``MAX_DEPTH`` (``FormulaTooDeep``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Union
@@ -44,195 +47,250 @@ __all__ = [
 
 # --- AST ---
 
-_FIELDS = {}  # node class -> the names of its fields
+_set = object.__setattr__  # sets a field of a Frozen, in its __init__
 
 
-def _node(cls, facts=True):
-    """Make ``cls`` a frozen dataclass whose instances hash once, and with
-    ``facts`` compute their ``Facts`` once, when built.  Children are built
-    first, so neither recurses however deep a formula nests; nor does
-    ``==`` (``_node_eq``)."""
-    cls = dataclass(frozen=True)(cls)
-    init, field_hash = cls.__init__, cls.__hash__
+class Frozen:
+    """Base of the package's immutable value classes.
 
-    def __init__(self, *args, **kw):
-        init(self, *args, **kw)
-        object.__setattr__(self, "_hash", field_hash(self))
-        if facts:
-            object.__setattr__(self, "_facts", _node_facts(self))
+    A subclass names its fields in ``_fields`` and in its ``__slots__``
+    (a class that must keep a ``__dict__`` declares no slots).  Its
+    ``__init__`` sets each field once, with ``_init`` or
+    ``object.__setattr__``; later assignment or deletion raises
+    ``AttributeError``.  Instances of one class compare and hash by their
+    fields, and ``repr`` shows them.
+    """
 
-    cls.__init__ = __init__
-    cls.__hash__ = lambda self: self._hash
-    cls.__eq__ = _node_eq
-    _FIELDS[cls] = tuple(f.name for f in fields(cls))
-    return cls
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot set or delete field %r of an immutable "
+                             "%s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def _init(self, *values) -> None:
+        """Set the fields, in ``_fields`` order, for ``__init__``."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
-def _node_eq(self, other):
-    """The dataclass's ``==``, field by field, with the subformulas walked
-    on an explicit stack; a shared part is skipped and nodes of unequal
-    hashes differ."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__ or a._hash != b._hash:
-            return False
-        for name in _FIELDS[a.__class__]:
-            x, y = getattr(a, name), getattr(b, name)
-            if x.__class__ is tuple:  # the terms of a comparison
-                if len(x) != len(y):
-                    return False
-                stack.extend(zip(x, y))
-            elif x.__class__ in _FIELDS:
-                stack.append((x, y))
-            elif x != y:
+class _Node(Frozen):
+    """Base of the formula nodes.  A node hashes once and, but for a
+    ``ProbTerm``, computes its ``Facts`` once, when built (``_seal``);
+    non-core nodes keep their expansions in ``_expansions``.  Children are
+    built first, so neither recurses however deep a formula nests; nor
+    does ``==``."""
+
+    __slots__ = ("_hash", "_facts", "_expansions")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        """Field by field, with the subformulas walked on an explicit
+        stack; a shared part is skipped and nodes of unequal hashes
+        differ."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
-    return True
+            for name in a._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if x.__class__ is tuple:  # the terms of a comparison
+                    if len(x) != len(y):
+                        return False
+                    stack.extend(zip(x, y))
+                elif isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
-@_node
-class Prop:
-    name: str
+def _seal(node, values: tuple, facts=True) -> None:
+    """Finish building ``node`` from its field values: hash them, and with
+    ``facts`` compute the node's ``Facts`` from its children's."""
+    _set(node, "_hash", hash(values))
+    if facts:
+        _set(node, "_facts", _node_facts(node))
 
 
-@_node
-class IndexedProp:
-    name: str
-    agent: int
-
-    def __post_init__(self):
-        if self.agent < 1:
-            raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
+def _positive(agent: int) -> None:
+    if agent < 1:
+        raise UnknownAgent("agent index must be positive: %r" % (agent,))
 
 
-@_node
-class Not:
-    arg: "SurfaceFormula"
+def _group(group, what: str) -> frozenset:
+    group = frozenset(int(i) for i in group)
+    if not group:
+        raise ValueError("%s group must be nonempty" % what)
+    _positive(min(group))
+    return group
 
 
-@_node
-class And:
-    left: "SurfaceFormula"
-    right: "SurfaceFormula"
+class Prop(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _seal(self, (name,))
 
 
-@partial(_node, facts=False)
-class ProbTerm:
+class IndexedProp(_Node):
+    __slots__ = _fields = ("name", "agent")
+
+    def __init__(self, name: str, agent: int):
+        _positive(agent)
+        _set(self, "name", name)
+        _set(self, "agent", agent)
+        _seal(self, (name, agent))
+
+
+class Not(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "SurfaceFormula"):
+        _set(self, "arg", arg)
+        _seal(self, (arg,))
+
+
+class _Binary(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "SurfaceFormula", right: "SurfaceFormula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _seal(self, (left, right))
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class ProbTerm(_Node):
     """One summand ``coeff * Pr_agent(arg)`` of a probability comparison."""
 
-    coeff: Fraction
-    agent: int
-    arg: "SurfaceFormula"
+    __slots__ = _fields = ("coeff", "agent", "arg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.agent < 1:
-            raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
+    def __init__(self, coeff: Fraction, agent: int, arg: "SurfaceFormula"):
+        coeff = Fraction(coeff)
+        _positive(agent)
+        _set(self, "coeff", coeff)
+        _set(self, "agent", agent)
+        _set(self, "arg", arg)
+        _seal(self, (coeff, agent, arg), facts=False)
 
 
-@_node
-class ProbGe:
+class ProbGe(_Node):
     """``a1*Pr_j(f1) + ... + ak*Pr_j(fk) >= bound`` with one shared agent j."""
 
-    terms: tuple
-    bound: Fraction
+    __slots__ = _fields = ("terms", "bound")
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple, bound: Fraction):
         terms = tuple(
-            t if isinstance(t, ProbTerm) else ProbTerm(*t) for t in self.terms
-        )
+            t if isinstance(t, ProbTerm) else ProbTerm(*t) for t in terms)
         if not terms:
             raise ValueError("probability comparison needs at least one term")
         if len({t.agent for t in terms}) != 1:
             raise ValueError("all terms of one probability comparison must "
                              "name the same agent")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        bound = Fraction(bound)
+        _set(self, "terms", terms)
+        _set(self, "bound", bound)
+        _seal(self, (terms, bound))
 
     @property
     def agent(self) -> int:
         return self.terms[0].agent
 
 
-@_node
-class CB:
+class CB(_Node):
     """Common belief among a nonempty group of agents."""
 
-    group: frozenset
-    arg: "SurfaceFormula"
+    __slots__ = _fields = ("group", "arg")
 
-    def __post_init__(self):
-        group = frozenset(int(i) for i in self.group)
-        if not group:
-            raise ValueError("common-belief group must be nonempty")
-        if min(group) < 1:
-            raise UnknownAgent("agent index must be positive: %r" % (min(group),))
-        object.__setattr__(self, "group", group)
+    def __init__(self, group: frozenset, arg: "SurfaceFormula"):
+        group = _group(group, "common-belief")
+        _set(self, "group", group)
+        _set(self, "arg", arg)
+        _seal(self, (group, arg))
 
 
 # Surface abbreviations.
 
-@_node
-class Or:
-    left: "SurfaceFormula"
-    right: "SurfaceFormula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Implies:
-    left: "SurfaceFormula"
-    right: "SurfaceFormula"
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Iff:
-    left: "SurfaceFormula"
-    right: "SurfaceFormula"
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@_node
-class TrueF:
-    pass
+class TrueF(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _seal(self, ())
 
 
-@_node
-class FalseF:
-    pass
+class FalseF(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _seal(self, ())
 
 
-@_node
-class B:
+class B(_Node):
     """Individual belief: ``B(j, f)`` abbreviates ``Pr_j(f) >= 1``."""
 
-    agent: int
-    arg: "SurfaceFormula"
+    __slots__ = _fields = ("agent", "arg")
 
-    def __post_init__(self):
-        if self.agent < 1:
-            raise UnknownAgent("agent index must be positive: %r" % (self.agent,))
+    def __init__(self, agent: int, arg: "SurfaceFormula"):
+        _positive(agent)
+        _set(self, "agent", agent)
+        _set(self, "arg", arg)
+        _seal(self, (agent, arg))
 
 
-@_node
-class EB:
+class EB(_Node):
     """Iterated group belief: everybody in ``group`` believes, ``power`` deep."""
 
-    group: frozenset
-    power: int
-    arg: "SurfaceFormula"
+    __slots__ = _fields = ("group", "power", "arg")
 
-    def __post_init__(self):
-        group = frozenset(int(i) for i in self.group)
-        if not group:
-            raise ValueError("group-belief group must be nonempty")
-        if min(group) < 1:
-            raise UnknownAgent("agent index must be positive: %r" % (min(group),))
-        if self.power < 1:
+    def __init__(self, group: frozenset, power: int, arg: "SurfaceFormula"):
+        group = _group(group, "group-belief")
+        if power < 1:
             raise ValueError("group-belief power must be >= 1")
-        object.__setattr__(self, "group", group)
+        _set(self, "group", group)
+        _set(self, "power", power)
+        _set(self, "arg", arg)
+        _seal(self, (group, power, arg))
 
 
 Formula = Union[Prop, IndexedProp, Not, And, ProbGe, CB]
@@ -686,7 +744,10 @@ def _expand(g, taut: str):
     # refer to the node itself.
     if g._facts.core:
         return g
-    memo = vars(g).setdefault("_expansions", {})
+    memo = getattr(g, "_expansions", None)
+    if memo is None:
+        memo = {}
+        _set(g, "_expansions", memo)
     out = memo.get(taut)
     if out is not None:
         return out

@@ -10,7 +10,6 @@ construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
@@ -25,15 +24,16 @@ __all__ = [
 _PROP_NAMES = ("p", "q", "r", "u", "v")
 
 
-@dataclass(frozen=True)
-class GenBounds:
-    max_states: int = 5
-    max_agents: int = 3
-    max_props: int = 3
-    max_depth: int = 4
+class GenBounds(fm.Frozen):
+    """Size bounds of generated structures and formulas.  It keeps a
+    ``__dict__``, so ``GenBounds(**vars(bounds))`` rebuilds ``bounds``."""
 
-    def __post_init__(self):
-        for name in ("max_states", "max_agents", "max_props", "max_depth"):
+    _fields = ("max_states", "max_agents", "max_props", "max_depth")
+
+    def __init__(self, max_states: int = 5, max_agents: int = 3,
+                 max_props: int = 3, max_depth: int = 4):
+        self._init(max_states, max_agents, max_props, max_depth)
+        for name in self._fields:
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
 

@@ -2,24 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Violation:
-    kind: str
-    message: str
-    context: dict = field(default_factory=dict)
+    __slots__ = ("kind", "message", "context")
+
+    def __init__(self, kind: str, message: str, context: dict = None):
+        self.kind = kind
+        self.message = message
+        self.context = {} if context is None else context
+
+    def __repr__(self) -> str:
+        return "Violation(kind=%r, message=%r, context=%r)" % (
+            self.kind, self.message, self.context)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "message": self.message, "context": self.context}
 
 
-@dataclass
 class Report:
     """A list of violations; empty means the checked property holds."""
 
-    entries: list = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list = None):
+        self.entries = [] if entries is None else entries
+
+    def __repr__(self) -> str:
+        return "Report(entries=%r)" % (self.entries,)
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import formula as fm
@@ -48,8 +47,7 @@ _RESERVED_NAME = re.compile(r"^(B|Pr)[0-9]+$|^(E|CB|true|false)$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(@[0-9]+)?$")
 
 
-@dataclass(frozen=True)
-class CellBeliefs:
+class CellBeliefs(fm.Frozen):
     """Probability space of one partition cell.
 
     ``atoms`` partition the cell and generate the measurable sets; the mass
@@ -58,11 +56,14 @@ class CellBeliefs:
     are cached for speed.
     """
 
-    states: frozenset
-    atoms: tuple
-    masses: tuple
+    _fields = ("states", "atoms", "masses")
+    __slots__ = _fields + ("_support", "_point")
 
-    def __post_init__(self):
+    def __init__(self, states: frozenset, atoms: tuple, masses: tuple):
+        set_field = object.__setattr__
+        set_field(self, "states", states)
+        set_field(self, "atoms", atoms)
+        set_field(self, "masses", masses)
         support = frozenset().union(
             *(atom for atom, mass in zip(self.atoms, self.masses)
               if mass.numerator > 0)) if self.atoms else frozenset()
@@ -70,8 +71,8 @@ class CellBeliefs:
         if all(len(atom) == 1 for atom in self.atoms):
             point = {min(atom): mass
                      for atom, mass in zip(self.atoms, self.masses)}
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_point", point)
+        set_field(self, "_support", support)
+        set_field(self, "_point", point)
 
     def support(self) -> frozenset:
         """Union of the atoms that carry positive mass."""
@@ -112,24 +113,25 @@ def singleton_cell(states, masses) -> CellBeliefs:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Structure:
+class Structure(fm.Frozen):
     """Immutable multi-agent epistemic probability structure.
 
     ``partitions[i]`` and ``beliefs[i]`` are aligned cell-by-cell, which
     hard-wires that all states of a cell share one probability space.
+    Structures compare and hash by identity.
     """
 
-    n_agents: int
-    states: tuple
-    props: tuple
-    partitions: dict
-    beliefs: dict
-    interpretations: dict
-    priors: dict = None
-    signals: dict = None
+    _fields = ("n_agents", "states", "props", "partitions", "beliefs",
+               "interpretations", "priors", "signals")
+    __slots__ = _fields + ("agents", "universe", "_cell_index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, n_agents: int, states: tuple, props: tuple,
+                 partitions: dict, beliefs: dict, interpretations: dict,
+                 priors: dict = None, signals: dict = None):
+        self._init(n_agents, states, props, partitions, beliefs,
+                   interpretations, priors, signals)
         if self.n_agents < 1:
             raise ModelFormatError("need at least one agent")
         if not self.states or len(set(self.states)) != len(self.states):
@@ -187,7 +189,9 @@ class Structure:
         return sum((nu.get(s, Fraction(0)) for s in event), Fraction(0))
 
     def replace(self, **kw) -> "Structure":
-        return replace(self, **kw)
+        """A new structure with the fields in ``kw`` changed, checked as
+        the constructor checks any."""
+        return Structure(**{**dict(zip(self._fields, self._values())), **kw})
 
 
 # --- Validation ---
@@ -196,6 +200,18 @@ def _exact_sum(qs) -> Fraction:
     """Sum of rationals in integers over the LCM of their denominators."""
     d = math.lcm(*(q.denominator for q in qs))
     return Fraction(sum(q.numerator * d // q.denominator for q in qs), d)
+
+
+def _show_sum(q: Fraction) -> str:
+    """``q`` exactly when its numerator and denominator have at most about
+    60 digits, else its order of magnitude, as ``about 1.500e+4300``: a
+    sum of long masses may be too long for ``str`` to convert at all."""
+    if max(abs(q.numerator), q.denominator).bit_length() <= 200:
+        return str(q)
+    digits = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+    exponent = math.floor(digits)
+    return "about %s%.3fe%+d" % ("-" if q < 0 else "",
+                                 10 ** (digits - exponent), exponent)
 
 
 def validate_core(m: Structure) -> Report:
@@ -257,10 +273,10 @@ def validate_core(m: Structure) -> Report:
                            agent=i, cell=ci)
             total = _exact_sum(cb.masses)
             if total != 1:
+                shown = _show_sum(total)
                 report.add("measure-sum",
                            "agent %d cell %d masses sum to %s, not 1"
-                           % (i, ci, total), agent=i, cell=ci,
-                           total=str(total))
+                           % (i, ci, shown), agent=i, cell=ci, total=shown)
 
     # Cross-agent cells and own propositions must be measurable in each
     # cell.  With point masses (the powerset algebra) every event is.
@@ -317,9 +333,10 @@ def validate_core(m: Structure) -> Report:
                            "agent %d prior has a negative mass" % i, agent=i)
             total = _exact_sum(nu.values())
             if total != 1:
+                shown = _show_sum(total)
                 report.add("prior-sum",
-                           "agent %d prior sums to %s, not 1" % (i, total),
-                           agent=i, total=str(total))
+                           "agent %d prior sums to %s, not 1" % (i, shown),
+                           agent=i, total=shown)
             if not set(nu) <= universe:
                 report.add("prior-range",
                            "agent %d prior mentions unknown states" % i,
@@ -544,7 +561,8 @@ def structure_from_dict(data: dict) -> Structure:
 
     def check_states(names, where):
         out = frozenset(names)
-        for s in out:
+        for s in names:  # in file order, so the error named is the same
+            # in every process
             if s not in state_set:
                 raise ModelFormatError("%s: unknown state %r" % (where, s))
         return out
@@ -603,7 +621,7 @@ def structure_from_dict(data: dict) -> Structure:
                                          tuple(masses)))
             else:
                 measure = {}
-                for s in cell:
+                for s in sorted(cell):  # a fixed order, as in check_states
                     raw = spec["measure"].get(s, 0)
                     measure[s] = rational(raw, where)
                 extra = set(spec["measure"]) - set(cell)

@@ -19,7 +19,6 @@ guarantees (checked by ``verify_transform_equivalence``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
@@ -41,27 +40,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateMap:
+class StateMap(fm.Frozen):
     """Maps each state of a transformed structure to (source state, tag).
 
     The tag is the copy's agent for ``disjoint_copies`` and None for the
     transforms that keep the original states.
     """
 
-    mapping: dict
+    __slots__ = _fields = ("mapping",)
+
+    def __init__(self, mapping: dict):
+        self._init(mapping)
 
     def to_dict(self) -> dict:
         return {new: {"state": old, "tag": tag}
                 for new, (old, tag) in sorted(self.mapping.items())}
 
 
-@dataclass(frozen=True)
-class TransformClaim:
-    """Which per-formula equivalence a transformed structure should satisfy."""
+class TransformClaim(fm.Frozen):
+    """Which per-formula equivalence a transformed structure should satisfy:
+    ``kind`` is "fix-interpretation", "disjoint-copies" or
+    "label-partitions"."""
 
-    kind: str  # "fix-interpretation" | "disjoint-copies" | "label-partitions"
-    agent: int = None
+    __slots__ = _fields = ("kind", "agent")
+
+    def __init__(self, kind: str, agent: int = None):
+        self._init(kind, agent)
 
 
 def fix_interpretation(m: Structure, agent: int) -> Structure:

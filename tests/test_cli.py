@@ -236,6 +236,35 @@ def test_validate_skips_signal_checks_on_invalid_core(tmp_path, capsys):
     assert captured.err == ""
 
 
+def _mass_of_4300_nines(data):  # the sum has 4,301 digits
+    data["beliefs"]["2"][0]["measure"]["w1"] = "9" * 4300
+
+
+def _prior_of_4300_nines(data):
+    data["priors"]["1"]["a"] = "9" * 4300
+
+
+@pytest.mark.parametrize("name, edit, state, violation", [
+    ("m_red.json", _mass_of_4300_nines, "w1",
+     "measure-sum: agent 2 cell 0 masses sum to about 1.000e+4300, not 1"),
+    ("m_ai.json", _prior_of_4300_nines, "a",
+     "prior-sum: agent 1 prior sums to about 1.000e+4300, not 1"),
+])
+def test_sum_too_long_to_print_is_a_named_violation(
+        name, edit, state, violation, tmp_path, capsys):
+    path = _broken_copy(tmp_path, name, edit)
+    assert main(["validate", "--model", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert ["%s: %s" % (v["kind"], v["message"])
+            for v in report["violations"]] == [violation]
+    assert report["violations"][0]["context"]["total"] == "about 1.000e+4300"
+    assert main(["eval", "--model", path, "--formula", "p", "--state", state,
+                 "--agent", "1", "--mode", "in"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: structure fails core checks: %s\n" % violation
+
+
 @pytest.mark.parametrize("missing, command, kind", [
     ("priors", ["fix-interpretation", "--agent", "1"], "prior-missing"),
     ("signals", ["generate-priors"], "signal-missing"),

@@ -1,9 +1,22 @@
 import doctest
 import importlib
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
 
 import ambilogic
+from ambilogic import formula as fm
+from ambilogic.generators import GenBounds
+from ambilogic.structure import CellBeliefs
+from ambilogic.transforms import TransformClaim
+
+from demo_models import m_red
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -22,3 +35,63 @@ def test_readme_library_use_runs(monkeypatch):
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """A fresh ``import ambilogic.cli`` leaves out ``dataclasses`` and
+    ``inspect``, and ``import ambilogic`` loads its modules as it did when
+    the value classes were dataclasses."""
+    script = ("import json, sys\n"
+              "import ambilogic\n"
+              "own = sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] == 'ambilogic')\n"
+              "import ambilogic.cli\n"
+              "print(json.dumps([own, sorted({'dataclasses', 'inspect'}\n"
+              "                               & set(sys.modules))]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    own, stdlib = json.loads(proc.stdout)
+    assert own == ["ambilogic"] + ["ambilogic." + name for name in (
+        "errors", "formula", "modes", "reporting", "semantics", "structure",
+        "transforms", "translation")]
+    assert stdlib == []
+
+
+@pytest.mark.parametrize("value, field", [
+    (fm.parse("CB{1,2} (p -> Pr1(q) >= 1/2)"), "arg"),
+    (fm.ProbTerm(Fraction(1, 2), 1, fm.Prop("p")), "coeff"),
+    (fm.TrueF(), "name"),
+    (CellBeliefs(frozenset({"w"}), (frozenset({"w"}),), (Fraction(1),)),
+     "masses"),
+    (m_red(), "priors"),
+    (GenBounds(), "max_states"),
+    (TransformClaim("fix-interpretation", 1), "agent"),
+])
+def test_value_classes_refuse_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_equal_formulas_built_apart_are_equal_and_hash_equal():
+    text = "E{1,2}^2 (p & !q@2) | 2*Pr1(r) + Pr1(true) >= 1/3 <-> B2 false"
+    first, second = fm.parse(text), fm.parse(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert fm.expand(first) == fm.expand(second)
+    assert hash(fm.expand(first)) == hash(fm.expand(second))
+    assert fm.Prop("p") != fm.IndexedProp("p", 1)
+    assert fm.parse("p & q") != fm.parse("p | q")
+    assert repr(fm.parse("Pr1(p) >= 1/2")) == (
+        "ProbGe(terms=(ProbTerm(coeff=Fraction(1, 1), agent=1, "
+        "arg=Prop(name='p')),), bound=Fraction(1, 2))")
+
+
+def test_gen_bounds_round_trip_through_vars():
+    bounds = GenBounds(max_states=9, max_depth=2)
+    assert vars(bounds) == {"max_states": 9, "max_agents": 3,
+                            "max_props": 3, "max_depth": 2}
+    assert GenBounds(**vars(bounds)) == bounds
+    assert GenBounds(**vars(GenBounds())) == GenBounds()

@@ -1,7 +1,6 @@
 import gc
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,12 @@ from ambilogic.modes import EvalMode
 from ambilogic import semantics
 from ambilogic.campaign import CHECK_NAMES, Campaign, run_campaign
 from ambilogic.semantics import Evaluator, valid_in_model
-from ambilogic.structure import Structure, singleton_cell, validate_core
+from ambilogic.structure import (
+    CellBeliefs,
+    Structure,
+    singleton_cell,
+    validate_core,
+)
 from ambilogic.transforms import fix_interpretation
 from ambilogic.translation import translate_in
 
@@ -269,7 +273,8 @@ def _perturbed(rng, m):
         masses = list(spaces[ci].masses)
         k = rng.randrange(len(masses))
         masses[k] = masses[k] + Fraction(1, 3) if kind else -masses[k]
-        spaces[ci] = replace(spaces[ci], masses=tuple(masses))
+        spaces[ci] = CellBeliefs(spaces[ci].states, spaces[ci].atoms,
+                                 tuple(masses))
     elif kind < 4 and m.priors is not None:
         priors = dict(m.priors)
         if kind == 2:

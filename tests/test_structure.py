@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -415,6 +419,40 @@ def test_loader_rejects_bad_rationals(raw, message):
     with pytest.raises(ModelFormatError) as exc:
         loads_structure(_with_w1_mass(raw))
     assert str(exc.value) == "beliefs[2][0]: " + message
+
+
+def _cell_with_two_bad_masses(blob):
+    blob["beliefs"]["2"][0]["measure"] = {"w1": "1/2/3", "w2": True}
+
+
+def _cell_with_two_unknown_states(blob):
+    blob["partitions"]["2"] = [["w1", "w2", "x", "y"]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cell_with_two_bad_masses, "beliefs[2][0]: bad rational '1/2/3'"),
+    (_cell_with_two_unknown_states, "partitions[2]: unknown state 'x'"),
+])
+def test_loader_error_does_not_depend_on_the_hash_seed(edit, message):
+    """The loader reads a cell in a fixed order, so the first fault it
+    names is the same in every process, whatever its string hashes."""
+    blob = structure_to_dict(m_red())
+    edit(blob)
+    script = ("import sys\n"
+              "from ambilogic.structure import loads_structure\n"
+              "try:\n"
+              "    loads_structure(sys.stdin.read())\n"
+              "except Exception as exc:\n"
+              "    print(exc)\n")
+    src = str(pathlib.Path(fm.__file__).resolve().parent.parent)
+    seen = set()
+    for seed in ("0", "2"):  # read in frozenset order, these two differed
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(blob),
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        seen.add(proc.stdout.strip())
+    assert seen == {message}
 
 
 def test_loader_rejects_json_floats_by_name():
