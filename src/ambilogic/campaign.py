@@ -17,6 +17,7 @@ from .generators import (
     GenBounds,
     formula_corpus,
     random_core_formula,
+    random_group,
     random_signal_structure,
     random_structure,
 )
@@ -111,12 +112,7 @@ class CampaignReport:
         return {
             "seed": self.campaign.seed,
             "trials": self.campaign.trials,
-            "bounds": {
-                "max_states": self.campaign.bounds.max_states,
-                "max_agents": self.campaign.bounds.max_agents,
-                "max_props": self.campaign.bounds.max_props,
-                "max_depth": self.campaign.bounds.max_depth,
-            },
+            "bounds": dict(vars(self.campaign.bounds)),
             "ok": self.ok,
             "checks": {name: r.to_dict()
                        for name, r in sorted(self.results.items())},
@@ -201,18 +197,15 @@ def _check_prop1(rng, bounds, _hook):
     return True, None
 
 
-def _check_mode_agreement(rng, bounds, _hook):
-    m = random_structure(rng, bounds, common=True)
-    corpus = formula_corpus(rng, m, 4, bounds.max_depth)
+def _modes_agree(m: Structure, corpus, modes) -> tuple:
+    """Whether every query of the corpus gets one answer in all ``modes``,
+    and the first counterexample if not."""
     ev = Evaluator(m)
     for f in corpus:
         for s in m.states:
             for i in m.agents:
-                values = {
-                    mode.value: ev.evaluate(s, i, f, mode)
-                    for mode in (EvalMode.COMMON, EvalMode.OUTERMOST,
-                                 EvalMode.INNERMOST)
-                }
+                values = {mode.value: ev.evaluate(s, i, f, mode)
+                          for mode in modes}
                 if len(set(values.values())) != 1:
                     return False, _counterexample(m, None, {
                         "query": {"state": s, "agent": i,
@@ -221,28 +214,24 @@ def _check_mode_agreement(rng, bounds, _hook):
     return True, None
 
 
+def _check_mode_agreement(rng, bounds, _hook):
+    m = random_structure(rng, bounds, common=True)
+    corpus = formula_corpus(rng, m, 4, bounds.max_depth)
+    return _modes_agree(m, corpus, (EvalMode.COMMON, EvalMode.OUTERMOST,
+                                    EvalMode.INNERMOST))
+
+
 def _check_inai_eq_in(rng, bounds, _hook):
     m = random_signal_structure(rng, bounds)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth,
                             props=m.props[:bounds.max_props])
-    ev = Evaluator(m)
-    for f in corpus:
-        for s in m.states:
-            for i in m.agents:
-                inner = ev.evaluate(s, i, f, EvalMode.INNERMOST)
-                inner_ai = ev.evaluate(s, i, f, EvalMode.INNERMOST_AI)
-                if inner != inner_ai:
-                    return False, _counterexample(m, None, {
-                        "query": {"state": s, "agent": i,
-                                  "formula": fm.print_formula(f)},
-                        "values": {"in": inner, "in-ai": inner_ai}})
-    return True, None
+    return _modes_agree(m, corpus, (EvalMode.INNERMOST,
+                                    EvalMode.INNERMOST_AI))
 
 
 def _check_cb_oracle(rng, bounds, _hook):
     m = random_structure(rng, bounds)
-    group = frozenset(rng.sample(range(1, m.n_agents + 1),
-                                 rng.randint(1, m.n_agents)))
+    group = random_group(rng, m.n_agents)
     f = random_core_formula(rng, list(m.props), m.n_agents,
                             rng.randint(0, max(1, bounds.max_depth - 2)))
     mode = rng.choice([EvalMode.OUTERMOST, EvalMode.INNERMOST])

@@ -45,7 +45,8 @@ from .transforms import disjoint_copies, fix_interpretation, label_partitions
 from .translation import translate_in, translate_ou
 
 _USAGE_ERRORS = (ModelFormatError, FormulaSyntaxError, FormulaTooDeep,
-                 OSError, UnknownAgent, UnknownProp, UnknownState, ValueError)
+                 OSError, UnknownAgent, UnknownProp, UnknownState, ValueError,
+                 UndefinedConditional, NotMeasurable)
 _FAILURE_ERRORS = (NotCommonInterpretation, CoreInvalid, AlreadyIndexed,
                    ModePrereqMissing, MissingSignals)
 
@@ -225,9 +226,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (UndefinedConditional, NotMeasurable) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

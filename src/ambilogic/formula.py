@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple, Union
 
 from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent
@@ -137,9 +137,14 @@ def _seal(node, values: tuple, facts=True) -> None:
         _set(node, "_facts", _node_facts(node))
 
 
-def _positive(agent: int) -> None:
+def _positive(agent: int, token=None) -> int:
+    """``agent`` if it is at least 1, else raise ``UnknownAgent``; the
+    parser passes the token it read the index from, to name its offset."""
     if agent < 1:
-        raise UnknownAgent("agent index must be positive: %r" % (agent,))
+        raise UnknownAgent("agent index must be positive%s" % (
+            ": %r" % (agent,) if token is None
+            else " at offset %d: %s" % (token[2], token[1])))
+    return agent
 
 
 def _group(group, what: str) -> frozenset:
@@ -298,6 +303,11 @@ SurfaceFormula = Union[Formula, Or, Implies, Iff, TrueF, FalseF, B, EB]
 
 _CORE_TYPES = (Prop, IndexedProp, Not, And, ProbGe, CB)
 
+# The binary operators, for the parser and the printer: symbol, binding
+# strength (higher binds tighter) and whether the operator associates right.
+_BINARY = {Iff: ("<->", 1, False), Implies: ("->", 2, True),
+           Or: ("|", 3, False), And: ("&", 4, False)}
+
 
 def _children(f):
     if isinstance(f, (Not, B, EB, CB)):
@@ -382,12 +392,8 @@ class _Parser:
         return int(text)
 
     def _agent(self):
-        _, text, offset = self._peek()
-        n = self._nat("agent index")
-        if n < 1:
-            raise UnknownAgent("agent index must be positive at offset %d: %s"
-                               % (offset, text))
-        return n
+        token = self._peek()
+        return _positive(self._nat("agent index"), token)
 
     def parse(self):
         f = self._formula()
@@ -395,8 +401,9 @@ class _Parser:
             self._fail({"end of input", "operator"})
         return f
 
-    # Binary operators by binding strength; implication associates right.
-    _INFIX = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+    # Binary operators by symbol: binding strength, class, right associative.
+    _INFIX = {symbol: (level, cls, right)
+              for cls, (symbol, level, right) in _BINARY.items()}
 
     def _formula(self):
         """Operands and binary operators, folded on a stack in one frame;
@@ -407,9 +414,9 @@ class _Parser:
                                  "%d deep" % MAX_DEPTH)
         operands, ops = [self._unary()], []
         while True:
-            op = self._INFIX.get(self._peek()[1], (0, None))
+            op = self._INFIX.get(self._peek()[1], (0, None, False))
             # Fold what binds tighter, or as tight and associates left.
-            while ops and ops[-1][0] >= op[0] + (op[1] is Implies):
+            while ops and ops[-1][0] >= op[0] + op[2]:
                 operands[-2:] = [ops.pop()[1](*operands[-2:])]
             if op[1] is None:
                 self.depth -= 1
@@ -429,7 +436,7 @@ class _Parser:
 
     def _prefix(self):
         """Consume one prefix operator; return its constructor, or None."""
-        kind, text, offset = self._peek()
+        token = kind, text, offset = self._peek()
         if kind == "op" and text == "!":
             self._next()
             return Not
@@ -437,12 +444,7 @@ class _Parser:
             m = _B_RE.match(text)
             if m:
                 self._next()
-                agent = int(m.group(1))
-                if agent < 1:
-                    raise UnknownAgent(
-                        "agent index must be positive at offset %d: %s"
-                        % (offset, text))
-                return partial(B, agent)
+                return partial(B, _positive(int(m.group(1)), token))
             if text in ("E", "CB") and self._peek(1)[:2] == ("op", "{"):
                 self._next()
                 group = self._natlist()
@@ -515,15 +517,12 @@ class _Parser:
         if kind == "nat" or (kind == "op" and text == "-"):
             coeff = self._rational()
             self._expect_op("*")
-        kind, text, offset = self._peek()
+        token = kind, text, offset = self._peek()
         m = _PR_RE.match(text) if kind == "ident" else None
         if m is None:
             self._fail({"'Pr<agent>('"})
         self._next()
-        agent = int(m.group(1))
-        if agent < 1:
-            raise UnknownAgent("agent index must be positive at offset %d: %s"
-                               % (offset, text))
+        agent = _positive(int(m.group(1)), token)
         self._expect_op("(")
         arg = self._formula()
         self._expect_op(")")
@@ -573,9 +572,9 @@ def parse(text: str) -> SurfaceFormula:
 
 # --- Printer ---
 
-# Grammar levels used to decide parenthesisation; higher binds tighter.
-_IFF, _IMP, _OR, _AND, _UNARY, _ATOM = 10, 20, 30, 40, 50, 70
-_PROBCMP = 5  # always parenthesised inside anything else
+# Grammar levels used to decide parenthesisation; higher binds tighter.  A
+# comparison is parenthesised inside anything else; ``_BINARY`` holds 1-4.
+_PROBCMP, _UNARY, _ATOM = 0, 5, 7
 
 
 def _group_text(group) -> str:
@@ -604,18 +603,12 @@ def _render(f, sugar: bool):
                             _modal_arg(f.arg, sugar)), _UNARY
     if isinstance(f, CB):
         return "CB%s%s" % (_group_text(f.group), _modal_arg(f.arg, sugar)), _UNARY
-    if isinstance(f, And):
-        return "%s & %s" % (_wrap(f.left, _AND, sugar),
-                            _wrap(f.right, _UNARY, sugar)), _AND
-    if isinstance(f, Or):
-        return "%s | %s" % (_wrap(f.left, _OR, sugar),
-                            _wrap(f.right, _AND, sugar)), _OR
-    if isinstance(f, Implies):
-        return "%s -> %s" % (_wrap(f.left, _OR, sugar),
-                             _wrap(f.right, _IMP, sugar)), _IMP
-    if isinstance(f, Iff):
-        return "%s <-> %s" % (_wrap(f.left, _IFF, sugar),
-                              _wrap(f.right, _IMP, sugar)), _IFF
+    if type(f) in _BINARY:
+        # The operand on the side the operator does not associate to needs
+        # parentheses when it binds as loosely as the operator.
+        symbol, level, right = _BINARY[type(f)]
+        return "%s %s %s" % (_wrap(f.left, level + right, sugar), symbol,
+                             _wrap(f.right, level + (not right), sugar)), level
     if isinstance(f, ProbGe):
         parts = []
         for t in f.terms:
@@ -735,8 +728,15 @@ def expand(f: SurfaceFormula, tautology_prop: str = None) -> Formula:
     return _expand(f, tautology_prop)
 
 
-def _belief(agent: int, f) -> ProbGe:
+def belief(agent: int, f) -> ProbGe:
+    """``Pr_agent(f) >= 1``, the core form of ``B_agent f``."""
     return ProbGe((ProbTerm(Fraction(1), agent, f),), Fraction(1))
+
+
+def members_believe(group, reading) -> Formula:
+    """The conjunction, in agent order, of each member j's belief in
+    ``reading(j)``."""
+    return reduce(And, [belief(j, reading(j)) for j in sorted(group)])
 
 
 def _expand(g, taut: str):
@@ -774,14 +774,11 @@ def _expand(g, taut: str):
         if isinstance(g, FalseF):
             out = Not(out)
     elif isinstance(g, B):
-        out = _belief(g.agent, _expand(g.arg, taut))
+        out = belief(g.agent, _expand(g.arg, taut))
     elif isinstance(g, EB):
         out = _expand(g.arg, taut)
         for _ in range(g.power):
-            believed = [_belief(j, out) for j in sorted(g.group)]
-            out = believed[0]
-            for nxt in believed[1:]:
-                out = And(out, nxt)
+            out = members_believe(g.group, lambda j: out)
     else:
         raise TypeError("not a formula: %r" % (g,))
     memo[taut] = out

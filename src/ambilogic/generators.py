@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from .structure import Structure, generate_priors, singleton_cell
-from .transforms import attach_cell_signals
+from .transforms import attach_cell_signals, fresh_names
 
 __all__ = [
     "GenBounds", "random_structure", "random_signal_structure",
@@ -125,13 +125,9 @@ def random_signal_structure(rng: random.Random, bounds: GenBounds,
             if j == i:
                 continue
             readings[j] = _random_partition(rng, base.states)
-        for idx, s in enumerate(base.states):
-            name = "u_%d_s%d" % (i, idx)
-            k = 1
-            while name in taken:
-                k += 1
-                name = "u_%d_s%d_%d" % (i, idx, k)
-            taken.add(name)
+        names = fresh_names(
+            ["u_%d_s%d" % (i, idx) for idx in range(len(base.states))], taken)
+        for s, name in zip(base.states, names):
             props.append(name)
             interpretations[i][name] = base.cell_of(i, s)
             for j in base.agents:
@@ -151,6 +147,12 @@ def _random_rational(rng: random.Random, lo=-2, hi=2, max_den=3,
         value = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
         if value != 0 or not nonzero:
             return value
+
+
+def random_group(rng: random.Random, n_agents: int) -> frozenset:
+    """A nonempty group of agents from 1..n_agents, of uniform size."""
+    return frozenset(rng.sample(range(1, n_agents + 1),
+                                rng.randint(1, n_agents)))
 
 
 def random_core_formula(rng: random.Random, props, n_agents: int,
@@ -179,9 +181,8 @@ def random_core_formula(rng: random.Random, props, n_agents: int,
              random_core_formula(rng, props, n_agents, depth - 1))
             for _ in range(n_terms))
         return fm.ProbGe(terms, _random_rational(rng, lo=-1, hi=2))
-    group = frozenset(rng.sample(range(1, n_agents + 1),
-                                 rng.randint(1, n_agents)))
-    return fm.CB(group, random_core_formula(rng, props, n_agents, depth - 1))
+    return fm.CB(random_group(rng, n_agents),
+                 random_core_formula(rng, props, n_agents, depth - 1))
 
 
 def random_surface_formula(rng: random.Random, props, n_agents: int,
@@ -216,13 +217,9 @@ def random_surface_formula(rng: random.Random, props, n_agents: int,
     if kind == "b":
         return fm.B(rng.randint(1, n_agents), sub())
     if kind == "eb":
-        group = frozenset(rng.sample(range(1, n_agents + 1),
-                                     rng.randint(1, n_agents)))
-        return fm.EB(group, rng.randint(1, 3), sub())
+        return fm.EB(random_group(rng, n_agents), rng.randint(1, 3), sub())
     if kind == "cb":
-        group = frozenset(rng.sample(range(1, n_agents + 1),
-                                     rng.randint(1, n_agents)))
-        return fm.CB(group, sub())
+        return fm.CB(random_group(rng, n_agents), sub())
     j = rng.randint(1, n_agents)
     terms = tuple(
         (_random_rational(rng, nonzero=True), j, sub())

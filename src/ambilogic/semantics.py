@@ -255,9 +255,7 @@ class Evaluator:
         self.m.check_agents(j)
         self._require_mode(mode)
         reader = j if mode.innermost_scope else outer
-        spaces, _, undefined = self._spaces(j, mode, reader)
-        if undefined:
-            raise self._undefined(j, *next(iter(undefined.items())))
+        spaces = self._defined_spaces(j, mode, reader)
         return frozenset((s, t) for sources, space in spaces
                          for s in sources for t in space.support())
 
@@ -386,16 +384,19 @@ class Evaluator:
         got = self._tables[key] = (spaces, containing, undefined)
         return got
 
-    def _where(self, j: int, mode: EvalMode, reader: int,
-               holds) -> frozenset:
-        """States served by those of agent j's spaces that satisfy
-        ``holds``; raises for the first state whose conditional is
-        undefined."""
+    def _defined_spaces(self, j: int, mode: EvalMode, reader: int) -> list:
+        """``_spaces``' list; raises for the first undefined conditional."""
         spaces, _, undefined = self._spaces(j, mode, reader)
         if undefined:
             raise self._undefined(j, *next(iter(undefined.items())))
+        return spaces
+
+    def _where(self, j: int, mode: EvalMode, reader: int,
+               holds) -> frozenset:
+        """States served by those of agent j's spaces that satisfy
+        ``holds``."""
         out = set()
-        for sources, space in spaces:
+        for sources, space in self._defined_spaces(j, mode, reader):
             if holds(space):
                 out |= sources
         return frozenset(out)

@@ -214,6 +214,14 @@ def _show_sum(q: Fraction) -> str:
                                  10 ** (digits - exponent), exponent)
 
 
+def _is_partition(blocks, whole) -> bool:
+    """Whether ``blocks`` are nonempty, disjoint and cover ``whole``: they
+    are disjoint when their sizes add up to the size of their union."""
+    covered = frozenset().union(*blocks)
+    return (all(blocks) and covered == whole
+            and sum(map(len, blocks)) == len(covered))
+
+
 def validate_core(m: Structure) -> Report:
     """Check the base soundness assumptions; violations become report entries.
 
@@ -251,22 +259,11 @@ def validate_core(m: Structure) -> Report:
 
     for i in m.agents:
         for ci, (cell, cb) in enumerate(zip(m.partitions[i], m.beliefs[i])):
-            point = cb._point
-            # Distinct singleton atoms covering exactly the cell partition
-            # it; any other cell takes the set operations below.
-            if (point is None or len(point) != len(cb.atoms)
-                    or point.keys() != cell or cb.states != cell):
-                covered = set()
-                bad_atoms = False
-                for atom in cb.atoms:
-                    if not atom or not atom <= cell or (covered & atom):
-                        bad_atoms = True
-                    covered |= atom
-                if bad_atoms or covered != cell or cb.states != cell:
-                    report.add("cell-sample-space",
-                               "agent %d cell %d: atoms do not partition "
-                               "the cell" % (i, ci), agent=i, cell=ci)
-                    continue
+            if not _is_partition(cb.atoms, cell) or cb.states != cell:
+                report.add("cell-sample-space",
+                           "agent %d cell %d: atoms do not partition the "
+                           "cell" % (i, ci), agent=i, cell=ci)
+                continue
             if any(mass.numerator < 0 for mass in cb.masses):
                 report.add("measure-negative",
                            "agent %d cell %d has a negative mass" % (i, ci),
@@ -436,13 +433,7 @@ def validate_signals(m: Structure, ev=None) -> Report:
                             "agent %d's signal there" % (s, j, i),
                             owner=i, reader=j, state=s)
             blocks = {reading[j] for reading, _ in groups.values()}
-            covered = set()
-            disjoint = True
-            for block in blocks:
-                if covered & block:
-                    disjoint = False
-                covered |= block
-            if not disjoint or covered != universe or frozenset() in blocks:
+            if not _is_partition(blocks, universe):
                 report.add(
                     "signal-partition",
                     "agent %d's readings of agent %d's signals do not "
@@ -544,6 +535,22 @@ def _rational(value, where: str) -> Fraction:
     raise ModelFormatError("%s: bad rational %r" % (where, value))
 
 
+def _expect(value, kind, where: str):
+    """``value``, if it has the JSON type ``kind`` (list, dict or str)."""
+    if not isinstance(value, kind):
+        raise ModelFormatError("%s: expected a JSON %s" % (where, {
+            list: "array", dict: "object", str: "string"}[kind]))
+    return value
+
+
+def _name_set(names, where: str) -> frozenset:
+    """``names`` as a set; a JSON array or object cannot name a state."""
+    try:
+        return frozenset(names)
+    except TypeError:
+        raise ModelFormatError("%s: expected a JSON string" % where)
+
+
 def _reject_float(text):
     raise ModelFormatError("floating point rejected: %s" % text)
 
@@ -557,10 +564,10 @@ def structure_from_dict(data: dict) -> Structure:
         props = tuple(data["props"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError("missing or bad agents/states/props: %s" % exc)
-    state_set = set(states)
+    state_set = _name_set(states, "states")
 
     def check_states(names, where):
-        out = frozenset(names)
+        out = _name_set(_expect(names, list, where), where)
         for s in names:  # in file order, so the error named is the same
             # in every process
             if s not in state_set:
@@ -584,7 +591,7 @@ def structure_from_dict(data: dict) -> Structure:
                 raise ModelFormatError("missing %r block" % key)
             return None
         out = {}
-        for k, v in block.items():
+        for k, v in _expect(block, dict, key).items():
             try:
                 i = int(k)
             except ValueError:
@@ -594,11 +601,13 @@ def structure_from_dict(data: dict) -> Structure:
 
     partitions = {}
     for i, cells in (agent_map("partitions") or {}).items():
+        where = "partitions[%d]" % i
         partitions[i] = tuple(
-            check_states(cell, "partitions[%d]" % i) for cell in cells)
+            check_states(cell, where) for cell in _expect(cells, list, where))
 
     beliefs = {}
     for i, cells in (agent_map("beliefs") or {}).items():
+        _expect(cells, list, "beliefs[%d]" % i)
         if i not in partitions or len(cells) != len(partitions[i]):
             raise ModelFormatError(
                 "beliefs[%d] must list one entry per partition cell" % i)
@@ -608,8 +617,10 @@ def structure_from_dict(data: dict) -> Structure:
             cell = partitions[i][ci]
             if not isinstance(spec, dict) or "measure" not in spec:
                 raise ModelFormatError("%s: need a measure map" % where)
+            _expect(spec["measure"], dict, where + "[measure]")
             if "atoms" in spec and spec["atoms"] is not None:
-                atoms = tuple(check_states(a, where) for a in spec["atoms"])
+                atoms = tuple(check_states(a, where) for a in
+                              _expect(spec["atoms"], list, where + "[atoms]"))
                 masses = []
                 for idx in range(len(atoms)):
                     raw = spec["measure"].get(str(idx))
@@ -635,7 +646,8 @@ def structure_from_dict(data: dict) -> Structure:
     for i, per_prop in (agent_map("interpretations") or {}).items():
         interpretations[i] = {
             p: check_states(ss, "interpretations[%d][%s]" % (i, p))
-            for p, ss in per_prop.items()
+            for p, ss in _expect(per_prop, dict,
+                                 "interpretations[%d]" % i).items()
         }
 
     priors = None
@@ -644,7 +656,7 @@ def structure_from_dict(data: dict) -> Structure:
         priors = {}
         for i, nu in raw_priors.items():
             out = {}
-            for s, v in nu.items():
+            for s, v in _expect(nu, dict, "priors[%d]" % i).items():
                 if s not in state_set:
                     raise ModelFormatError("priors[%d]: unknown state %r"
                                            % (i, s))
@@ -658,7 +670,7 @@ def structure_from_dict(data: dict) -> Structure:
         parsed = {}  # states sharing a signal text share one formula
         for i, per_state in raw_signals.items():
             out = {}
-            for s, text in per_state.items():
+            for s, text in _expect(per_state, dict, "signals[%d]" % i).items():
                 if s not in state_set:
                     raise ModelFormatError("signals[%d]: unknown state %r"
                                            % (i, s))
@@ -670,6 +682,8 @@ def structure_from_dict(data: dict) -> Structure:
                 out[s] = parsed[text]
             signals[i] = out
 
+    for p in props:
+        _expect(p, str, "props")
     return Structure(
         n_agents=n, states=states, props=props, partitions=partitions,
         beliefs=beliefs, interpretations=interpretations, priors=priors,

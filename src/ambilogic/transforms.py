@@ -138,7 +138,8 @@ def disjoint_copies(m: Structure):
     return lifted, state_map
 
 
-def _fresh_names(base_names, taken):
+def fresh_names(base_names, taken):
+    """Each name, or the first free ``name_k`` for k >= 2, added to taken."""
     out = []
     for name in base_names:
         candidate = name
@@ -165,7 +166,7 @@ def attach_cell_signals(m: Structure):
     signals = {}
     new_props = list(m.props)
     for i in m.agents:
-        names = _fresh_names(
+        names = fresh_names(
             ["p_%d_c%d" % (i, ci) for ci in range(len(m.partitions[i]))],
             taken)
         per_state = {}
@@ -235,27 +236,16 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
     report = Report()
     ev_orig = Evaluator(m)
     ev_new = Evaluator(transformed)
-
-    def record(f, where, agent, left, right):
-        report.add(
-            "transform-mismatch",
-            "%s: %s evaluates %s originally but %s after the transform"
-            % (claim.kind, fm.print_formula(f), left, right),
-            formula=fm.print_formula(f), state=where, agent=agent,
-            original=left, transformed=right)
-
+    # Each claim pairs queries (state, agent, mode) of the original and of
+    # the result; a mismatch names the result's state, the original's agent.
     if claim.kind == "fix-interpretation":
         if claim.agent is None or claim.agent not in m.agents:
             raise ClaimSpecMismatch("fix-interpretation claim needs the agent")
         if transformed.states != m.states:
             raise ClaimSpecMismatch("fix-interpretation must keep the states")
         i = claim.agent
-        for f in formulas:
-            for s in m.states:
-                left = ev_orig.evaluate(s, i, f, EvalMode.OUTERMOST)
-                right = ev_new.evaluate(s, i, f, EvalMode.COMMON)
-                if left != right:
-                    record(f, s, i, left, right)
+        pairs = [((s, i, EvalMode.OUTERMOST), (s, i, EvalMode.COMMON))
+                 for s in m.states]
     elif claim.kind == "disjoint-copies":
         mapping = state_map.mapping if state_map is not None else None
         if mapping is None or set(mapping) != set(transformed.states):
@@ -264,12 +254,9 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
         for new_state, (old_state, tag) in mapping.items():
             if old_state not in m.universe or tag not in m.agents:
                 raise ClaimSpecMismatch("state map points outside the source")
-        for f in formulas:
-            for new_state, (old_state, tag) in sorted(mapping.items()):
-                left = ev_orig.evaluate(old_state, tag, f, EvalMode.INNERMOST)
-                right = ev_new.evaluate(new_state, 1, f, EvalMode.COMMON)
-                if left != right:
-                    record(f, new_state, tag, left, right)
+        pairs = [((old_state, tag, EvalMode.INNERMOST),
+                  (new_state, 1, EvalMode.COMMON))
+                 for new_state, (old_state, tag) in sorted(mapping.items())]
     elif claim.kind == "label-partitions":
         if not is_common_interpretation(m):
             raise ClaimSpecMismatch(
@@ -278,13 +265,20 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
         if not set(transformed.states) <= set(m.states):
             raise ClaimSpecMismatch(
                 "label-partitions must restrict the states")
-        for f in formulas:
-            for s in transformed.states:
-                for i in m.agents:
-                    left = ev_orig.evaluate(s, i, f, EvalMode.COMMON)
-                    right = ev_new.evaluate(s, i, f, EvalMode.COMMON)
-                    if left != right:
-                        record(f, s, i, left, right)
+        pairs = [((s, i, EvalMode.COMMON), (s, i, EvalMode.COMMON))
+                 for s in transformed.states for i in m.agents]
     else:
         raise ClaimSpecMismatch("unknown claim kind %r" % claim.kind)
+    for f in formulas:
+        for (s, i, mode), (new_state, j, new_mode) in pairs:
+            left = ev_orig.evaluate(s, i, f, mode)
+            right = ev_new.evaluate(new_state, j, f, new_mode)
+            if left != right:
+                report.add(
+                    "transform-mismatch",
+                    "%s: %s evaluates %s originally but %s after the "
+                    "transform" % (claim.kind, fm.print_formula(f), left,
+                                   right),
+                    formula=fm.print_formula(f), state=new_state, agent=i,
+                    original=left, transformed=right)
     return report

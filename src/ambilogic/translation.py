@@ -19,8 +19,6 @@ before translating.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import formula as fm
 from .errors import AlreadyIndexed
 from .modes import EvalMode
@@ -58,10 +56,6 @@ def lift_to_indexed(m: Structure) -> Structure:
     )
 
 
-def _belief(agent: int, f) -> fm.ProbGe:
-    return fm.ProbGe((fm.ProbTerm(Fraction(1), agent, f),), Fraction(1))
-
-
 def _translate(f, index: int, keep_outer: bool, naive_cb: bool, memo: dict):
     key = (f, index)
     out = memo.get(key)
@@ -94,14 +88,9 @@ def _translate(f, index: int, keep_outer: bool, naive_cb: bool, memo: dict):
             out = fm.CB(f.group,
                         _translate(f.arg, index, keep_outer, naive_cb, memo))
         else:
-            conjuncts = [
-                _belief(j, _translate(f.arg, j, keep_outer, naive_cb, memo))
-                for j in sorted(f.group)
-            ]
-            body = conjuncts[0]
-            for nxt in conjuncts[1:]:
-                body = fm.And(body, nxt)
-            out = fm.CB(f.group, body)
+            out = fm.CB(f.group, fm.members_believe(
+                f.group,
+                lambda j: _translate(f.arg, j, keep_outer, naive_cb, memo)))
     else:
         raise TypeError("expand() the formula before translating: %r" % (f,))
     memo[key] = out

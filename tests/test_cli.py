@@ -188,6 +188,47 @@ def _broken_copy(tmp_path, name, edit):
     return str(path)
 
 
+def _setter(*keys, value):
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, where, kind", [
+    ("m_red.json", _setter("partitions", "1", value=[5, ["w2"]]),
+     "partitions[1]", "array"),
+    ("m_red.json", _setter("partitions", "1", value="w1"),
+     "partitions[1]", "array"),
+    ("m_red.json", _setter("interpretations", "1", "p", value=[["w1"]]),
+     "interpretations[1][p]", "string"),
+    ("m_red.json", _setter("interpretations", "1", "p", value="w1"),
+     "interpretations[1][p]", "array"),
+    ("m_red.json", _setter("beliefs", "2", 0, "measure", value=["1"]),
+     "beliefs[2][0][measure]", "object"),
+    ("m_red.json", _setter("partitions", value=[["w1", "w2"]]),
+     "partitions", "object"),
+    ("m_red.json", _setter("interpretations", "1", value=[["w1"]]),
+     "interpretations[1]", "object"),
+    ("m_sig.json", _setter("priors", "1", value=["1/2", "1/2"]),
+     "priors[1]", "object"),
+    ("m_sig.json", _setter("signals", "1", value=["s", "!s"]),
+     "signals[1]", "object"),
+    ("m_red.json", _setter("states", value=[["w1"], "w2"]),
+     "states", "string"),
+    ("m_red.json", _setter("props", value=[3]), "props", "string"),
+], ids=["cell-number", "cells-string", "state-array", "states-string",
+        "measure-array", "partitions-array", "interpretations-array",
+        "prior-array", "signals-array", "state-name-array", "prop-number"])
+def test_validate_block_of_wrong_json_type_exits_2(name, edit, where, kind,
+                                                   tmp_path, capsys):
+    path = _broken_copy(tmp_path, name, edit)
+    assert main(["validate", "--model", path]) == 2
+    assert capsys.readouterr().err == "error: %s: expected a JSON %s\n" % (
+        where, kind)
+
+
 def _measure_sums_to_2(data):
     data["beliefs"]["2"][0]["measure"]["w1"] = "3/2"
 

@@ -83,9 +83,17 @@ def test_parse_rejects_mixed_agents_in_one_comparison():
 
 
 def test_parse_rejects_nonpositive_agents():
-    for bad in ("B0 p", "Pr0(p) >= 1", "CB{0} p", "p@0", "E{0} p"):
-        with pytest.raises(UnknownAgent):
+    for bad, where in (("B0 p", "offset 0: B0"),
+                       ("Pr0(p) >= 1", "offset 0: Pr0"),
+                       ("CB{0} p", "offset 3: 0"),
+                       ("p@0", "offset 2: 0"),
+                       ("E{0} p", "offset 2: 0")):
+        with pytest.raises(UnknownAgent) as err:
             fm.parse(bad)
+        assert str(err.value) == "agent index must be positive at " + where
+    with pytest.raises(UnknownAgent) as err:
+        fm.B(0, fm.Prop("p"))
+    assert str(err.value) == "agent index must be positive: 0"
 
 
 def test_print_examples():
@@ -96,6 +104,48 @@ def test_print_examples():
     ) == "Pr2(p) >= 1/2"
     assert fm.print_formula(fm.parse("CB{1,2}(B1 p & B2 !p)")) \
         == "CB{1,2}(B1 p & B2 !p)"
+
+
+# Each binary operator over each other one, a comparison and a belief, as
+# (outer operator, operand, printed as left operand, as right operand).
+_NESTED = [
+    (fm.And, "&", "p & q & p", "p & (p & q)"),
+    (fm.And, "|", "(p | q) & p", "p & (p | q)"),
+    (fm.And, "->", "(p -> q) & p", "p & (p -> q)"),
+    (fm.And, "<->", "(p <-> q) & p", "p & (p <-> q)"),
+    (fm.And, "cmp", "(Pr1(p) >= 1/2) & p", "p & (Pr1(p) >= 1/2)"),
+    (fm.And, "B1", "B1 q & p", "p & B1 q"),
+    (fm.Or, "&", "p & q | p", "p | p & q"),
+    (fm.Or, "|", "p | q | p", "p | (p | q)"),
+    (fm.Or, "->", "(p -> q) | p", "p | (p -> q)"),
+    (fm.Or, "<->", "(p <-> q) | p", "p | (p <-> q)"),
+    (fm.Or, "cmp", "(Pr1(p) >= 1/2) | p", "p | (Pr1(p) >= 1/2)"),
+    (fm.Or, "B1", "B1 q | p", "p | B1 q"),
+    (fm.Implies, "&", "p & q -> p", "p -> p & q"),
+    (fm.Implies, "|", "p | q -> p", "p -> p | q"),
+    (fm.Implies, "->", "(p -> q) -> p", "p -> p -> q"),
+    (fm.Implies, "<->", "(p <-> q) -> p", "p -> (p <-> q)"),
+    (fm.Implies, "cmp", "(Pr1(p) >= 1/2) -> p", "p -> (Pr1(p) >= 1/2)"),
+    (fm.Implies, "B1", "B1 q -> p", "p -> B1 q"),
+    (fm.Iff, "&", "p & q <-> p", "p <-> p & q"),
+    (fm.Iff, "|", "p | q <-> p", "p <-> p | q"),
+    (fm.Iff, "->", "p -> q <-> p", "p <-> p -> q"),
+    (fm.Iff, "<->", "p <-> q <-> p", "p <-> (p <-> q)"),
+    (fm.Iff, "cmp", "(Pr1(p) >= 1/2) <-> p", "p <-> (Pr1(p) >= 1/2)"),
+    (fm.Iff, "B1", "B1 q <-> p", "p <-> B1 q"),
+]
+
+
+@pytest.mark.parametrize("outer, operand, as_left, as_right", _NESTED)
+def test_print_parenthesises_operands_by_binding(outer, operand, as_left,
+                                                 as_right):
+    p, q = fm.Prop("p"), fm.Prop("q")
+    inner = {"&": fm.And(p, q), "|": fm.Or(p, q), "->": fm.Implies(p, q),
+             "<->": fm.Iff(p, q), "B1": fm.B(1, q),
+             "cmp": fm.ProbGe(((Fraction(1), 1, p),), Fraction(1, 2))}[operand]
+    for f, text in ((outer(inner, p), as_left), (outer(p, inner), as_right)):
+        assert fm.print_formula(f) == text
+        assert fm.parse(text) == f
 
 
 def test_print_negative_coefficients_reparse():

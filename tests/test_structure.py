@@ -473,36 +473,48 @@ def _red_with_atoms(agent, atoms, measure):
     return loads_structure(json.dumps(blob))
 
 
-@pytest.mark.parametrize("agent, atoms, measure", [
-    ("2", [["w1"], ["w1"], ["w2"]], {"0": "1/2", "1": "0", "2": "1/2"}),
-    ("1", [["w1"], ["w2"]], {"0": "1", "1": "0"}),  # w2 is outside
-    ("2", [["w1"]], {"0": "1"}),  # w2 is missing
-], ids=["duplicate", "outside", "missing"])
-def test_point_mass_cell_that_is_no_partition(agent, atoms, measure):
+# A coarse atom of agent 2's cell cuts each of agent 1's cells.
+_CUTS = [("cell-measurability",
+          "agent 2 cell 0 cannot measure agent 1's cell %d" % c,
+          {"agent": 2, "cell": 0, "other_agent": 1, "other_cell": c})
+         for c in (0, 1)]
+
+
+@pytest.mark.parametrize("agent, atoms, measure, also", [
+    ("2", [["w1"], ["w1"], ["w2"]], {"0": "1/2", "1": "0", "2": "1/2"}, []),
+    ("1", [["w1"], ["w2"]], {"0": "1", "1": "0"}, []),  # w2 is outside
+    ("2", [["w1"]], {"0": "1"}, []),  # w2 is missing
+    ("2", [[], ["w1"], ["w2"]], {"0": "0", "1": "1/2", "2": "1/2"}, []),
+    ("2", [["w1", "w2"], ["w2"]], {"0": "1/2", "1": "1/2"}, _CUTS),
+], ids=["duplicate", "outside", "missing", "empty", "overlapping"])
+def test_point_mass_cell_that_is_no_partition(agent, atoms, measure, also):
     m = _red_with_atoms(agent, atoms, measure)
     i = int(agent)
-    assert m.beliefs[i][0]._point is not None
+    point = all(len(atom) == 1 for atom in atoms)  # all but empty, overlapping
+    assert (m.beliefs[i][0]._point is not None) == point
     assert _entries(validate_core(m)) == [
         ("cell-sample-space",
          "agent %d cell 0: atoms do not partition the cell" % i,
-         {"agent": i, "cell": 0})]
+         {"agent": i, "cell": 0})] + also
 
 
 SIX = ["w1", "w2", "w3", "w4", "w5", "w6"]
 
 
-def _six(reading_1, reading_2, sends_a=SIX[:3]):
-    """Agent 1 tells w1-w3 from w4-w6 and sends a at ``sends_a``, !a
-    elsewhere; agent 2 tells nothing.  Agent i reads a as ``reading_i``."""
+def _six(reading_1, reading_2, sends_a=SIX[:3], other="!a"):
+    """Agent 1 tells w1-w3 from w4-w6 and sends a at ``sends_a``, ``other``
+    elsewhere; agent 2 tells nothing.  Agent i reads a as ``reading_i``;
+    agent 1 reads b as w4-w6, agent 2 as w3-w6."""
     return loads_structure(json.dumps({
-        "agents": 2, "states": SIX, "props": ["a"],
+        "agents": 2, "states": SIX, "props": ["a", "b"],
         "partitions": {"1": [SIX[:3], SIX[3:]], "2": [SIX]},
         "beliefs": {"1": [{"measure": {s: "1/3" for s in SIX[:3]}},
                           {"measure": {s: "1/3" for s in SIX[3:]}}],
                     "2": [{"measure": {s: "1/6" for s in SIX}}]},
-        "interpretations": {"1": {"a": reading_1}, "2": {"a": reading_2}},
+        "interpretations": {"1": {"a": reading_1, "b": SIX[3:]},
+                            "2": {"a": reading_2, "b": SIX[2:]}},
         "priors": {i: {s: "1/6" for s in SIX} for i in ("1", "2")},
-        "signals": {"1": {s: "a" if s in sends_a else "!a" for s in SIX},
+        "signals": {"1": {s: "a" if s in sends_a else other for s in SIX},
                     "2": {s: "a | !a" for s in SIX}},
     }))
 
@@ -539,3 +551,18 @@ def test_signal_reports_of_six_state_groups():
          "state w4 lies outside agent %d's reading of agent 1's signal "
          "there" % j, {"owner": 1, "reader": j, "state": "w4"})
         for j in (1, 2)]
+    # Agent 2 reads a as empty: a's states lie outside it, and the empty
+    # block fails the partition.
+    assert _entries(validate_signals(_six(SIX[:3], []))) == [
+        ("signal-membership",
+         "state %s lies outside agent 2's reading of agent 1's signal there"
+         % s, {"owner": 1, "reader": 2, "state": s}) for s in SIX[:3]
+    ] + [
+        ("signal-partition", "agent 2's readings of agent 1's signals do not "
+         "partition the state space",
+         {"owner": 1, "reader": 2, "blocks": [[], SIX]})]
+    # Agent 1 sends b at w4-w6, which agent 2 reads as overlapping a at w3.
+    assert _entries(validate_signals(_six(SIX[:3], SIX[:3], other="b"))) == [
+        ("signal-partition", "agent 2's readings of agent 1's signals do not "
+         "partition the state space",
+         {"owner": 1, "reader": 2, "blocks": [SIX[:3], SIX[2:]]})]
