@@ -17,19 +17,21 @@ removes all abbreviations; ``parse`` and ``print_formula`` convert between
 text and ASTs and are mutually inverse on ASTs.
 
 The nodes are plain slotted classes on the ``Frozen`` base, which the
-package's other value classes share: immutable, compared and hashed by
-value, and built by a hand-written ``__init__`` with no code generated
-when a class is defined.  Formulas are compiled once, on the nodes: a
-node computes its hash and its plan, ``facts``, from its children's when
-it is built, and keeps its expansion once asked.  Every ``Evaluator``
-shares them, and a DAG costs one step per distinct node.  The parser,
-printer and ``expand`` recurse and refuse formulas nested over
-``MAX_DEPTH`` (``FormulaTooDeep``).
+package's other value classes share: immutable, hashed by value, and
+with no code generated when a class is defined.  Nodes are interned:
+``__new__`` returns the live node with the same fields if there is one,
+so equal formulas are one object, and ``==`` is ``is``.  Formulas are
+compiled once, on the nodes: a node computes its hash and its plan,
+``facts``, from its children's when it is built, and keeps its expansion
+once asked.  Every ``Evaluator`` shares them, and a DAG costs one step
+per distinct node.  The parser, printer and ``expand`` recurse and
+refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple, Union
@@ -47,7 +49,7 @@ __all__ = [
 
 # --- AST ---
 
-_set = object.__setattr__  # sets a field of a Frozen, in its __init__
+_set = object.__setattr__  # sets a field of a Frozen as it is built
 
 
 class Frozen:
@@ -56,9 +58,10 @@ class Frozen:
     A subclass names its fields in ``_fields`` and in its ``__slots__``
     (a class that must keep a ``__dict__`` declares no slots).  Its
     ``__init__`` sets each field once, with ``_init`` or
-    ``object.__setattr__``; later assignment or deletion raises
-    ``AttributeError``.  Instances of one class compare and hash by their
-    fields, and ``repr`` shows them.
+    ``object.__setattr__``; a formula node is built by ``__new__``
+    instead, and interned (``_Node``).  Later assignment or deletion
+    raises ``AttributeError``.  Instances of one class compare and hash by
+    their fields, and ``repr`` shows them.
     """
 
     __slots__ = ()
@@ -71,7 +74,7 @@ class Frozen:
     __delattr__ = __setattr__
 
     def _init(self, *values) -> None:
-        """Set the fields, in ``_fields`` order, for ``__init__``."""
+        """Set the fields, in ``_fields`` order, as the object is built."""
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
@@ -92,49 +95,38 @@ class Frozen:
 
 
 class _Node(Frozen):
-    """Base of the formula nodes.  A node hashes once and, but for a
-    ``ProbTerm``, computes its ``Facts`` once, when built (``_seal``);
-    non-core nodes keep their expansions in ``_expansions``.  Children are
-    built first, so neither recurses however deep a formula nests; nor
-    does ``==``."""
+    """Base of the formula nodes.  A node class's ``__new__`` checks and
+    normalises its fields and gets the interned node from ``_node``.
+    Non-core nodes keep their expansions in ``_expansions``.  Children are
+    built first, so nothing recurses however deep a formula nests."""
 
-    __slots__ = ("_hash", "_facts", "_expansions")
+    __slots__ = ("_hash", "_facts", "_expansions", "__weakref__")
+
+    __eq__ = object.__eq__
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        """Field by field, with the subformulas walked on an explicit
-        stack; a shared part is skipped and nodes of unequal hashes
-        differ."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            for name in a._fields:
-                x, y = getattr(a, name), getattr(b, name)
-                if x.__class__ is tuple:  # the terms of a comparison
-                    if len(x) != len(y):
-                        return False
-                    stack.extend(zip(x, y))
-                elif isinstance(x, _Node):
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
+
+# The live nodes by (class, field values).  Weak, so that a node nothing
+# else holds is freed: a campaign builds fresh formulas on every trial.
+_nodes = weakref.WeakValueDictionary()
 
 
-def _seal(node, values: tuple, facts=True) -> None:
-    """Finish building ``node`` from its field values: hash them, and with
-    ``facts`` compute the node's ``Facts`` from its children's."""
-    _set(node, "_hash", hash(values))
-    if facts:
-        _set(node, "_facts", _node_facts(node))
+def _node(cls, *values):
+    """The node of class ``cls`` with these field values, whose nodes are
+    interned already: the live one, or a new one, hashed by the values and,
+    but for a ``ProbTerm``, planned (``_node_facts``)."""
+    key = (cls, values)
+    node = _nodes.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        node._init(*values)
+        _set(node, "_hash", hash(values))
+        if cls is not ProbTerm:
+            _set(node, "_facts", _node_facts(node))
+        _nodes[key] = node
+    return node
 
 
 def _positive(agent: int, token=None) -> int:
@@ -158,36 +150,29 @@ def _group(group, what: str) -> frozenset:
 class Prop(_Node):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _seal(self, (name,))
+    def __new__(cls, name: str):
+        return _node(cls, name)
 
 
 class IndexedProp(_Node):
     __slots__ = _fields = ("name", "agent")
 
-    def __init__(self, name: str, agent: int):
-        _positive(agent)
-        _set(self, "name", name)
-        _set(self, "agent", agent)
-        _seal(self, (name, agent))
+    def __new__(cls, name: str, agent: int):
+        return _node(cls, name, _positive(agent))
 
 
 class Not(_Node):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: "SurfaceFormula"):
-        _set(self, "arg", arg)
-        _seal(self, (arg,))
+    def __new__(cls, arg: "SurfaceFormula"):
+        return _node(cls, arg)
 
 
 class _Binary(_Node):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: "SurfaceFormula", right: "SurfaceFormula"):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _seal(self, (left, right))
+    def __new__(cls, left: "SurfaceFormula", right: "SurfaceFormula"):
+        return _node(cls, left, right)
 
 
 class And(_Binary):
@@ -199,13 +184,8 @@ class ProbTerm(_Node):
 
     __slots__ = _fields = ("coeff", "agent", "arg")
 
-    def __init__(self, coeff: Fraction, agent: int, arg: "SurfaceFormula"):
-        coeff = Fraction(coeff)
-        _positive(agent)
-        _set(self, "coeff", coeff)
-        _set(self, "agent", agent)
-        _set(self, "arg", arg)
-        _seal(self, (coeff, agent, arg), facts=False)
+    def __new__(cls, coeff: Fraction, agent: int, arg: "SurfaceFormula"):
+        return _node(cls, Fraction(coeff), _positive(agent), arg)
 
 
 class ProbGe(_Node):
@@ -213,7 +193,7 @@ class ProbGe(_Node):
 
     __slots__ = _fields = ("terms", "bound")
 
-    def __init__(self, terms: tuple, bound: Fraction):
+    def __new__(cls, terms: tuple, bound: Fraction):
         terms = tuple(
             t if isinstance(t, ProbTerm) else ProbTerm(*t) for t in terms)
         if not terms:
@@ -221,10 +201,7 @@ class ProbGe(_Node):
         if len({t.agent for t in terms}) != 1:
             raise ValueError("all terms of one probability comparison must "
                              "name the same agent")
-        bound = Fraction(bound)
-        _set(self, "terms", terms)
-        _set(self, "bound", bound)
-        _seal(self, (terms, bound))
+        return _node(cls, terms, Fraction(bound))
 
     @property
     def agent(self) -> int:
@@ -236,11 +213,8 @@ class CB(_Node):
 
     __slots__ = _fields = ("group", "arg")
 
-    def __init__(self, group: frozenset, arg: "SurfaceFormula"):
-        group = _group(group, "common-belief")
-        _set(self, "group", group)
-        _set(self, "arg", arg)
-        _seal(self, (group, arg))
+    def __new__(cls, group: frozenset, arg: "SurfaceFormula"):
+        return _node(cls, _group(group, "common-belief"), arg)
 
 
 # Surface abbreviations.
@@ -260,15 +234,15 @@ class Iff(_Binary):
 class TrueF(_Node):
     __slots__ = ()
 
-    def __init__(self):
-        _seal(self, ())
+    def __new__(cls):
+        return _node(cls)
 
 
 class FalseF(_Node):
     __slots__ = ()
 
-    def __init__(self):
-        _seal(self, ())
+    def __new__(cls):
+        return _node(cls)
 
 
 class B(_Node):
@@ -276,11 +250,8 @@ class B(_Node):
 
     __slots__ = _fields = ("agent", "arg")
 
-    def __init__(self, agent: int, arg: "SurfaceFormula"):
-        _positive(agent)
-        _set(self, "agent", agent)
-        _set(self, "arg", arg)
-        _seal(self, (agent, arg))
+    def __new__(cls, agent: int, arg: "SurfaceFormula"):
+        return _node(cls, _positive(agent), arg)
 
 
 class EB(_Node):
@@ -288,14 +259,11 @@ class EB(_Node):
 
     __slots__ = _fields = ("group", "power", "arg")
 
-    def __init__(self, group: frozenset, power: int, arg: "SurfaceFormula"):
+    def __new__(cls, group: frozenset, power: int, arg: "SurfaceFormula"):
         group = _group(group, "group-belief")
         if power < 1:
             raise ValueError("group-belief power must be >= 1")
-        _set(self, "group", group)
-        _set(self, "power", power)
-        _set(self, "arg", arg)
-        _seal(self, (group, power, arg))
+        return _node(cls, group, power, arg)
 
 
 Formula = Union[Prop, IndexedProp, Not, And, ProbGe, CB]

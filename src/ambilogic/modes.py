@@ -42,5 +42,7 @@ class EvalMode(Enum):
         self.is_ai = value.endswith("-ai")
         self.innermost_scope = value in ("in", "in-ai")
 
+    __hash__ = object.__hash__  # by identity: each mode is one object
+
     def __str__(self) -> str:
         return self.value

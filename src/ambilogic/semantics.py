@@ -119,6 +119,7 @@ class Evaluator:
         self._agents = frozenset(m.agents)
         self._props = frozenset(m.props)
         self._answers = {}
+        self._prepared = {}
         self._ext = {}
         self._tables = {}
         self._levels = {}
@@ -262,11 +263,15 @@ class Evaluator:
     # -- internals --
 
     def _prepare(self, f, mode: EvalMode, *agents):
-        """Check a query about ``agents`` and return f's core formula."""
-        self.m.check_agents(*agents)
-        self._require_mode(mode)
-        self._check_query(f, mode)
-        return fm.expand(f, self.m.props[0])
+        """Check a query about ``agents`` once; return f's core formula."""
+        key = (f, mode, agents)
+        core = self._prepared.get(key)
+        if core is None:
+            self.m.check_agents(*agents)
+            self._require_mode(mode)
+            self._check_query(f, mode)
+            core = self._prepared[key] = fm.expand(f, self.m.props[0])
+        return core
 
     def _ext_core(self, agent: int, f, mode: EvalMode) -> frozenset:
         """Extension of core formula f as ``agent`` reads it, cached per

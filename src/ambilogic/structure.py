@@ -564,7 +564,10 @@ def structure_from_dict(data: dict) -> Structure:
         props = tuple(data["props"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError("missing or bad agents/states/props: %s" % exc)
-    state_set = _name_set(states, "states")
+    for s in _expect(data["states"], list, "states"):
+        _expect(s, str, "states")
+    _expect(data["props"], list, "props")
+    state_set = frozenset(states)
 
     def check_states(names, where):
         out = _name_set(_expect(names, list, where), where)
@@ -667,7 +670,7 @@ def structure_from_dict(data: dict) -> Structure:
     raw_signals = agent_map("signals", required=False)
     if raw_signals is not None:
         signals = {}
-        parsed = {}  # states sharing a signal text share one formula
+        parsed = {}  # each distinct signal text is parsed once
         for i, per_state in raw_signals.items():
             out = {}
             for s, text in _expect(per_state, dict, "signals[%d]" % i).items():

@@ -218,9 +218,18 @@ def _setter(*keys, value):
     ("m_red.json", _setter("states", value=[["w1"], "w2"]),
      "states", "string"),
     ("m_red.json", _setter("props", value=[3]), "props", "string"),
+    ("m_red.json", _setter("states", value={"w1": 1, "w2": 2}),
+     "states", "array"),
+    ("m_red.json", _setter("states", value="w1w2"), "states", "array"),
+    ("m_red.json", _setter("states", value=[5, "w1", "w2"]),
+     "states", "string"),
+    ("m_red.json", _setter("props", value={"p": 1}), "props", "array"),
+    ("m_red.json", _setter("props", value="p"), "props", "array"),
 ], ids=["cell-number", "cells-string", "state-array", "states-string",
         "measure-array", "partitions-array", "interpretations-array",
-        "prior-array", "signals-array", "state-name-array", "prop-number"])
+        "prior-array", "signals-array", "state-name-array", "prop-number",
+        "states-object", "states-text", "state-number", "props-object",
+        "props-text"])
 def test_validate_block_of_wrong_json_type_exits_2(name, edit, where, kind,
                                                    tmp_path, capsys):
     path = _broken_copy(tmp_path, name, edit)

@@ -263,7 +263,7 @@ def test_long_prefix_chains_parse_without_recursion():
 
 def test_equal_deep_formulas_compare_without_recursion():
     first, second = _negations(3000), _negations(3000)
-    assert first is not second
+    assert first is second  # nodes are interned
     assert first == second and hash(first) == hash(second)
     assert first != _negations(3000, "q") and first != _negations(2999)
     # Deep probability terms, with conjunctions inside them.

@@ -1,11 +1,14 @@
 import doctest
+import gc
 import importlib
 import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -78,15 +81,44 @@ def test_value_classes_refuse_assignment(value, field):
 def test_equal_formulas_built_apart_are_equal_and_hash_equal():
     text = "E{1,2}^2 (p & !q@2) | 2*Pr1(r) + Pr1(true) >= 1/3 <-> B2 false"
     first, second = fm.parse(text), fm.parse(text)
-    assert first is not second
+    assert first is second  # nodes are interned
     assert first == second and hash(first) == hash(second)
     assert fm.expand(first) == fm.expand(second)
     assert hash(fm.expand(first)) == hash(fm.expand(second))
+    assert fm.parse(text) is fm.parse(text)
+    assert fm.expand(fm.parse(text)) is fm.expand(fm.parse(text))
+    # The constructors normalise their fields before interning.
+    p = fm.Prop("p")
+    assert fm.ProbTerm(1, 1, p) is fm.ProbTerm(Fraction(1), 1, p)
+    assert fm.CB([2, 1], p) is fm.CB(frozenset({1, 2}), p)
     assert fm.Prop("p") != fm.IndexedProp("p", 1)
     assert fm.parse("p & q") != fm.parse("p | q")
     assert repr(fm.parse("Pr1(p) >= 1/2")) == (
         "ProbGe(terms=(ProbTerm(coeff=Fraction(1, 1), agent=1, "
         "arg=Prop(name='p')),), bound=Fraction(1, 2))")
+
+
+def test_interned_formula_is_freed_when_unused():
+    f = fm.parse("Pr1(freed_when_unused & q) >= 1/2")
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def _check_output(hash_seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ambilogic.cli", "check", "--seed", "42",
+         "--trials", "60"], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+             "PYTHONHASHSEED": hash_seed})
+    return re.sub(r'"elapsed_s": [^,}\n]*', '"elapsed_s"', proc.stdout)
+
+
+def test_check_output_does_not_depend_on_the_hash_seed():
+    """Modes hash by identity and strings by the hash seed; neither may
+    reach the output."""
+    assert _check_output("0") == _check_output("1")
 
 
 def test_gen_bounds_round_trip_through_vars():

@@ -618,7 +618,10 @@ def test_expanded_group_belief_is_planned_once_per_node(monkeypatch):
     calls.clear()
     core = fm.expand(f, "p")
     # 16 levels of one And over two beliefs; the p under them is f's own.
-    assert len(fm.subformulas(core)) == 49 and len(calls) == 48
+    # Nodes still live from earlier tests are not built again, so no node
+    # is planned twice and at most the 48 new ones are planned.
+    assert len(fm.subformulas(core)) == 49
+    assert len(calls) == len({id(g) for g in calls}) <= 48
     best = float("inf")
     for _ in range(3):
         ev = Evaluator(m_red())
@@ -626,7 +629,19 @@ def test_expanded_group_belief_is_planned_once_per_node(monkeypatch):
         ev.evaluate("w1", 1, core, OU)
         best = min(best, time.perf_counter() - started)
     assert best < 0.010, best
-    assert len(calls) == 48
+    assert len(calls) == len({id(g) for g in calls}) <= 48
+
+
+def test_eb_k_chain_checks_its_query_once(monkeypatch):
+    ev = Evaluator(m_red())
+    checked = []
+    check = ev._check_query
+    monkeypatch.setattr(ev, "_check_query",
+                        lambda f, mode: checked.append(f) or check(f, mode))
+    f = fm.parse("Pr1(p) >= 1/2")
+    for k in range(1, 11):
+        ev.eb_k({1, 2}, f, k, OU, 1)
+    assert checked == [f]
 
 
 def test_campaign_formulas_leave_no_cyclic_garbage():
