@@ -536,167 +536,147 @@ def _rational(value, where: str) -> Fraction:
 
 
 def _expect(value, kind, where: str):
-    """``value``, if it has the JSON type ``kind`` (list, dict or str)."""
-    if not isinstance(value, kind):
-        raise ModelFormatError("%s: expected a JSON %s" % (where, {
-            list: "array", dict: "object", str: "string"}[kind]))
-    return value
-
-
-def _name_set(names, where: str) -> frozenset:
-    """``names`` as a set; a JSON array or object cannot name a state."""
-    try:
-        return frozenset(names)
-    except TypeError:
-        raise ModelFormatError("%s: expected a JSON string" % where)
+    """``value``, if it has the JSON type ``kind`` (no bool is an int)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ModelFormatError("%s: expected a JSON %s" % (where, {
+        list: "array", dict: "object", str: "string", int: "integer"}[kind]))
 
 
 def _reject_float(text):
     raise ModelFormatError("floating point rejected: %s" % text)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; a name given twice is an error."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        for k, _ in pairs:  # a name already taken out is a repeat
+            if k not in out:
+                raise ModelFormatError("duplicate key %r" % k)
+            del out[k]
+    return out
+
+
 def structure_from_dict(data: dict) -> Structure:
     if not isinstance(data, dict):
         raise ModelFormatError("structure file must be a JSON object")
-    try:
-        n = int(data["agents"])
-        states = tuple(data["states"])
-        props = tuple(data["props"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError("missing or bad agents/states/props: %s" % exc)
-    for s in _expect(data["states"], list, "states"):
-        _expect(s, str, "states")
-    _expect(data["props"], list, "props")
+
+    def block(key, required=True):
+        value = data.get(key)
+        if value is None and required:
+            raise ModelFormatError("missing %r block" % key)
+        return value
+
+    n = _expect(data.get("agents"), int, "agents")
+    states = tuple(_expect(s, str, "states")
+                   for s in _expect(block("states"), list, "states"))
+    props = tuple(_expect(block("props"), list, "props"))
     state_set = frozenset(states)
 
-    def check_states(names, where):
-        out = _name_set(_expect(names, list, where), where)
-        for s in names:  # in file order, so the error named is the same
-            # in every process
+    def states_in(names, where):
+        try:
+            out = frozenset(_expect(names, list, where))
+        except TypeError:  # an array or object cannot name a state
+            raise ModelFormatError("%s: expected a JSON string" % where)
+        for s in names:  # in file order: the same error in every process
             if s not in state_set:
                 raise ModelFormatError("%s: unknown state %r" % (where, s))
         return out
 
-    texts = {}  # equal strings share one Fraction, parsed once
-
-    def rational(value, where):
-        if not isinstance(value, str):
-            return _rational(value, where)
-        got = texts.get(value)
-        if got is None:
-            got = texts[value] = _rational(value, where)
-        return got
-
-    def agent_map(key, required=True):
-        block = data.get(key)
-        if block is None:
-            if required:
-                raise ModelFormatError("missing %r block" % key)
+    def per_agent(key, kind, read, required=True):
+        """{agent: read(agent, value, where)}; all keys are checked first."""
+        raw = block(key, required)
+        if raw is None:
             return None
-        out = {}
-        for k, v in _expect(block, dict, key).items():
+        named = []
+        for k, v in _expect(raw, dict, key).items():
             try:
                 i = int(k)
-            except ValueError:
+            except (TypeError, ValueError):
+                i = 0
+            if str(i) != k or not 0 < i <= n:
                 raise ModelFormatError("%s: bad agent key %r" % (key, k))
-            out[i] = v
-        return out
+            named.append((i, "%s[%s]" % (key, k), v))
+        return {i: read(i, _expect(v, kind, where), where)
+                for i, where, v in named}
 
-    partitions = {}
-    for i, cells in (agent_map("partitions") or {}).items():
-        where = "partitions[%d]" % i
-        partitions[i] = tuple(
-            check_states(cell, where) for cell in _expect(cells, list, where))
+    memo = {}  # (reader, string) -> value: each is read once per file
 
-    beliefs = {}
-    for i, cells in (agent_map("beliefs") or {}).items():
-        _expect(cells, list, "beliefs[%d]" % i)
-        if i not in partitions or len(cells) != len(partitions[i]):
+    def once(read, value, where):
+        if not isinstance(value, str):
+            return read(value, where)
+        got = memo.get((read, value))
+        if got is None:
+            got = memo[read, value] = read(value, where)
+        return got
+
+    def signal(text, where):
+        if not isinstance(text, str):
+            raise ModelFormatError("%s: expected formula text, got %r"
+                                   % (where, text))
+        return fm.parse(text)
+
+    def by_name(read, of_states=False):
+        """Reader of an object keyed by names (states if ``of_states``)."""
+        def read_names(i, values, where):
+            out = {}
+            for k, v in values.items():
+                if of_states and k not in state_set:
+                    raise ModelFormatError("%s: unknown state %r" % (where, k))
+                out[k] = once(read, v, "%s[%s]" % (where, k))
+            return out
+        return read_names
+
+    def cell_beliefs(i, specs, where):
+        if i not in partitions or len(specs) != len(partitions[i]):
             raise ModelFormatError(
-                "beliefs[%d] must list one entry per partition cell" % i)
+                "%s must list one entry per partition cell" % where)
         built = []
-        for ci, spec in enumerate(cells):
-            where = "beliefs[%d][%d]" % (i, ci)
-            cell = partitions[i][ci]
+        for ci, (cell, spec) in enumerate(zip(partitions[i], specs)):
+            at = "%s[%d]" % (where, ci)
             if not isinstance(spec, dict) or "measure" not in spec:
-                raise ModelFormatError("%s: need a measure map" % where)
-            _expect(spec["measure"], dict, where + "[measure]")
-            if "atoms" in spec and spec["atoms"] is not None:
-                atoms = tuple(check_states(a, where) for a in
-                              _expect(spec["atoms"], list, where + "[atoms]"))
-                masses = []
-                for idx in range(len(atoms)):
-                    raw = spec["measure"].get(str(idx))
-                    if raw is None:
-                        raise ModelFormatError(
-                            "%s: measure missing atom index %d" % (where, idx))
-                    masses.append(rational(raw, where))
-                built.append(CellBeliefs(frozenset(cell), atoms,
-                                         tuple(masses)))
+                raise ModelFormatError("%s: need a measure map" % at)
+            measure = _expect(spec["measure"], dict, at + "[measure]")
+            coarse = spec.get("atoms") is not None
+            if coarse:
+                atoms = tuple(states_in(a, at) for a in
+                              _expect(spec["atoms"], list, at + "[atoms]"))
+                keys = [str(idx) for idx in range(len(atoms))]
             else:
-                measure = {}
-                for s in sorted(cell):  # a fixed order, as in check_states
-                    raw = spec["measure"].get(s, 0)
-                    measure[s] = rational(raw, where)
-                extra = set(spec["measure"]) - set(cell)
-                if extra:
-                    raise ModelFormatError("%s: measure names states outside "
-                                           "the cell: %s" % (where, sorted(extra)))
-                built.append(singleton_cell(cell, measure))
-        beliefs[i] = tuple(built)
+                keys = sorted(cell)  # a fixed order, as in states_in
+                atoms = tuple(frozenset([s]) for s in keys)
+            masses = []
+            for key in keys:
+                raw = measure.get(key, None if coarse else 0)
+                if raw is None and coarse:
+                    raise ModelFormatError(
+                        "%s: measure missing atom index %s" % (at, key))
+                masses.append(once(_rational, raw, at))
+            extra = set(measure).difference(keys)
+            if extra:
+                raise ModelFormatError(
+                    "%s: measure names %s outside the cell: %s"
+                    % (at, "atoms" if coarse else "states", sorted(extra)))
+            built.append(CellBeliefs(cell, atoms, tuple(masses)))
+        return tuple(built)
 
-    interpretations = {}
-    for i, per_prop in (agent_map("interpretations") or {}).items():
-        interpretations[i] = {
-            p: check_states(ss, "interpretations[%d][%s]" % (i, p))
-            for p, ss in _expect(per_prop, dict,
-                                 "interpretations[%d]" % i).items()
-        }
-
-    priors = None
-    raw_priors = agent_map("priors", required=False)
-    if raw_priors is not None:
-        priors = {}
-        for i, nu in raw_priors.items():
-            out = {}
-            for s, v in _expect(nu, dict, "priors[%d]" % i).items():
-                if s not in state_set:
-                    raise ModelFormatError("priors[%d]: unknown state %r"
-                                           % (i, s))
-                out[s] = rational(v, "priors[%d][%s]" % (i, s))
-            priors[i] = out
-
-    signals = None
-    raw_signals = agent_map("signals", required=False)
-    if raw_signals is not None:
-        signals = {}
-        parsed = {}  # each distinct signal text is parsed once
-        for i, per_state in raw_signals.items():
-            out = {}
-            for s, text in _expect(per_state, dict, "signals[%d]" % i).items():
-                if s not in state_set:
-                    raise ModelFormatError("signals[%d]: unknown state %r"
-                                           % (i, s))
-                if not isinstance(text, str):
-                    raise ModelFormatError("signals[%d][%s]: expected formula "
-                                           "text, got %r" % (i, s, text))
-                if text not in parsed:
-                    parsed[text] = fm.parse(text)
-                out[s] = parsed[text]
-            signals[i] = out
-
+    partitions = per_agent("partitions", list, lambda i, cells, where: tuple(
+        states_in(cell, where) for cell in cells))
+    beliefs = per_agent("beliefs", list, cell_beliefs)
+    interpretations = per_agent("interpretations", dict, by_name(states_in))
+    priors = per_agent("priors", dict, by_name(_rational, True), False)
+    signals = per_agent("signals", dict, by_name(signal, True), False)
     for p in props:
         _expect(p, str, "props")
-    return Structure(
-        n_agents=n, states=states, props=props, partitions=partitions,
-        beliefs=beliefs, interpretations=interpretations, priors=priors,
-        signals=signals,
-    )
+    return Structure(n, states, props, partitions, beliefs, interpretations,
+                     priors, signals)
 
 
 def loads_structure(text: str) -> Structure:
     try:
-        data = json.loads(text, parse_float=_reject_float)
+        data = json.loads(text, parse_float=_reject_float,
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError("bad JSON: %s" % exc)
     return structure_from_dict(data)

@@ -225,11 +225,18 @@ def _setter(*keys, value):
      "states", "string"),
     ("m_red.json", _setter("props", value={"p": 1}), "props", "array"),
     ("m_red.json", _setter("props", value="p"), "props", "array"),
+    ("m_red.json", _setter("agents", value="2"), "agents", "integer"),
+    ("m_red.json", _setter("agents", value=True), "agents", "integer"),
+    ("m_red.json", _setter("agents", value=None), "agents", "integer"),
+    ("m_red.json", _setter("agents", value=[2]), "agents", "integer"),
+    ("m_red.json", _setter("states", value=5), "states", "array"),
+    ("m_red.json", _setter("props", value=5), "props", "array"),
 ], ids=["cell-number", "cells-string", "state-array", "states-string",
         "measure-array", "partitions-array", "interpretations-array",
         "prior-array", "signals-array", "state-name-array", "prop-number",
         "states-object", "states-text", "state-number", "props-object",
-        "props-text"])
+        "props-text", "agents-text", "agents-bool", "agents-null",
+        "agents-array", "states-number", "props-number"])
 def test_validate_block_of_wrong_json_type_exits_2(name, edit, where, kind,
                                                    tmp_path, capsys):
     path = _broken_copy(tmp_path, name, edit)

@@ -1,6 +1,8 @@
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from ambilogic import formula as fm
 from ambilogic.errors import (
     CoreInvalid,
+    FormulaSyntaxError,
     MissingSignals,
     ModelFormatError,
     NotMeasurable,
@@ -28,12 +31,13 @@ from ambilogic.structure import (
     loads_structure,
     reachable,
     singleton_cell,
+    structure_from_dict,
     structure_to_dict,
     validate_core,
     validate_signals,
 )
 
-from demo_models import m_ai, m_red, m_sig
+from demo_models import MODELS, m_ai, m_red, m_sig
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -459,6 +463,124 @@ def test_loader_rejects_json_floats_by_name():
     with pytest.raises(ModelFormatError) as exc:
         loads_structure(_with_w1_mass("1/2").replace('"1/2"', "0.5", 1))
     assert str(exc.value) == "floating point rejected: 0.5"
+
+
+# --- Agent keys are "1".."n", no object names a member twice, and a
+# measure names only what its cell has.
+
+def _moved(block, old, new, text=True):
+    def make(blob):
+        blob[block][new] = blob[block].pop(old)
+        return json.dumps(blob) if text else blob
+    return make
+
+
+def _added(block, key, value):
+    def make(blob):
+        blob[block][key] = value
+        return json.dumps(blob)
+    return make
+
+
+def _repeated(path, key, value):
+    """The object at ``path`` given ``key`` a second time, with ``value``."""
+    def make(blob):
+        obj = blob
+        for k in path:
+            obj = obj[k]
+        obj["__again__"] = value
+        return json.dumps(blob).replace('"__again__"', json.dumps(key))
+    return make
+
+
+def _atoms_with_extra_keys(blob):
+    blob["beliefs"]["2"][0] = {"atoms": [["w1", "w2"]],
+                               "measure": {"0": "1", "1": "1/2", "w1": "7"}}
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("make, message", [
+    (_moved("partitions", "1", "01"), "partitions: bad agent key '01'"),
+    (_moved("partitions", "1", " 1"), "partitions: bad agent key ' 1'"),
+    (_moved("partitions", "1", "0"), "partitions: bad agent key '0'"),
+    (_added("partitions", "3", [["w1", "w2"]]),
+     "partitions: bad agent key '3'"),
+    (_moved("priors", "1", "01"), "priors: bad agent key '01'"),
+    (_moved("signals", "2", " 1"), "signals: bad agent key ' 1'"),
+    (_moved("priors", "2", "0"), "priors: bad agent key '0'"),
+    (_added("signals", "3", {"w1": "s", "w2": "!s"}),
+     "signals: bad agent key '3'"),
+    (_added("partitions", "01", [["w1", "w2"]]),
+     "partitions: bad agent key '01'"),
+    (_repeated(["partitions"], "1", [["w1", "w2"]]), "duplicate key '1'"),
+    (_repeated(["beliefs", "2", 0, "measure"], "w1", "1/2"),
+     "duplicate key 'w1'"),
+    (_repeated([], "agents", 3), "duplicate key 'agents'"),
+    (_atoms_with_extra_keys,
+     "beliefs[2][0]: measure names atoms outside the cell: ['1', 'w1']"),
+    (_moved("partitions", "1", 1, text=False), "partitions: bad agent key 1"),
+], ids=["01", "space-1", "0", "3-of-2", "prior-01", "signal-space-1",
+        "prior-0", "signal-3-of-2", "1-and-01", "repeated-partition",
+        "repeated-mass", "repeated-agents", "atoms-extra-keys", "int-key"])
+def test_loader_refuses_bad_keys(make, message):
+    source = make(structure_to_dict(m_sig()))
+    with pytest.raises(ModelFormatError) as exc:
+        if isinstance(source, str):
+            loads_structure(source)
+        else:
+            structure_from_dict(source)
+    assert str(exc.value) == message
+
+
+_JUNK = [5, 0, -1, 3, "2", "x", "w1", "a", "01", " 1", "1/2", "!s", True,
+         None, [], {}, ["w1"], [["w1"]], [2], {"w1": "1"}, {"0": "1"}]
+_NAMES = ["0", "1", "3", "01", " 1", "w1", "w9", "p", "atoms", "measure"]
+
+
+def _mutate(rng, blob):
+    """Replace or delete a random member of ``blob``, or add, rename or
+    repeat (as ``__again__``) a member of a random object in it."""
+    nodes = [((), blob)]
+    for path, node in nodes:
+        members = (node.items() if isinstance(node, dict)
+                   else enumerate(node) if isinstance(node, list) else ())
+        nodes.extend((path + (k,), v) for k, v in members)
+    path, node = rng.choice(nodes)
+    parent = blob
+    for k in path[:-1]:
+        parent = parent[k]
+    op = rng.randrange(5)
+    if isinstance(node, dict) and node and op >= 2:
+        key = rng.choice(sorted(node))
+        if op == 2:
+            node[rng.choice(_NAMES)] = copy.deepcopy(rng.choice(_JUNK))
+        elif op == 3:
+            node[rng.choice(_NAMES)] = node.pop(key)
+        else:
+            node["__again__" + key] = copy.deepcopy(node[key])
+    elif path and op == 0:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = copy.deepcopy(rng.choice(_JUNK))
+
+
+def test_loader_refuses_mutated_models_only_with_format_errors():
+    """Never an internal error: each of 360 seeded edits of the demo
+    models loads, or raises ModelFormatError; a signal text that does not
+    parse raises the parser's FormulaSyntaxError, as a query would."""
+    rng = random.Random(12)
+    bases = [json.loads((MODELS / name).read_text(encoding="utf-8"))
+             for name in ("m_red.json", "m_sig.json", "m_ai.json")]
+    refused = 0
+    for _ in range(360):
+        blob = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, blob)
+        try:
+            loads_structure(json.dumps(blob).replace('"__again__', '"'))
+        except (ModelFormatError, FormulaSyntaxError):
+            refused += 1
+    assert refused > 180
 
 
 # --- Reports keep their entries, contexts and order ---
