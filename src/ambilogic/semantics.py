@@ -20,11 +20,11 @@ comparison about agent j is read:
 * common: one shared interpretation, the classical case; this is also the
   only mode in which indexed propositions ``p@i`` may appear.
 
-Either way j's belief at a state is a probability space: a cell's
-``CellBeliefs``, or j's prior conditioned on the event (``_Conditional``).
-``_spaces`` tabulates them per (agent, reader) and is the only code that
-builds conditioning events; ``_lhs``, ``eb_k``, ``belief_edges`` and common
-belief all read that table.
+Either way j's belief at a state is a ``CellBeliefs`` with a normaliser: a
+cell's, with 1, or one over the event holding j's unnormalised prior
+masses, with the event's prior mass.  ``_spaces`` tabulates them per
+(agent, reader) and is the only code that builds conditioning events;
+``_lhs``, ``eb_k``, ``belief_edges`` and common belief all read that table.
 
 Common belief is the conjunction of all finite iterations of "everybody in
 the group believes".  It is decided by one backward pass that computes the
@@ -59,8 +59,8 @@ from .errors import (
 )
 from .modes import EvalMode
 from .reporting import Report
-from .structure import (Structure, is_common_interpretation, validate_core,
-                        validate_signals)
+from .structure import (CellBeliefs, Structure, is_common_interpretation,
+                        validate_core, validate_signals)
 
 __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 
@@ -71,34 +71,6 @@ _A5_KINDS = {"signal-missing", "signal-not-propositional", "signal-cell"}
 # Formulas whose extension does not depend on the outer agent in the
 # innermost modes.
 _AGENT_FREE = (fm.ProbGe, fm.CB)
-
-
-class _Conditional:
-    """Agent j's prior conditioned on an event of positive prior mass: the
-    probability space of the signal modes, with the ``states``,
-    ``support``, ``believes`` and ``measure`` of ``CellBeliefs``.  It keeps
-    the prior's own masses and divides by the event's mass in each
-    ``measure`` call."""
-
-    def __init__(self, prior: dict, event: frozenset, mass: Fraction):
-        self.states = event
-        self._masses = {s: prior[s] for s in event if s in prior}
-        self._mass = mass
-        self._support = frozenset(s for s, v in self._masses.items()
-                                  if v > 0)
-
-    def support(self) -> frozenset:
-        """States of the event that carry positive prior mass."""
-        return self._support
-
-    def believes(self, event: frozenset) -> bool:
-        """Conditional mass-one test: no positive mass outside ``event``."""
-        return self._support <= event
-
-    def measure(self, event: frozenset) -> Fraction:
-        """Conditional mass of ``event``."""
-        return sum((self._masses[s] for s in event if s in self._masses),
-                   Fraction(0)) / self._mass
 
 
 class Evaluator:
@@ -122,6 +94,7 @@ class Evaluator:
         self._prepared = {}
         self._ext = {}
         self._tables = {}
+        self._atoms = None
         self._levels = {}
         self._signal_report = None
         self._mode_checked = {}
@@ -210,9 +183,9 @@ class Evaluator:
         spaces, _, undefined = self._spaces(j, mode, reader)
         if state in undefined:
             raise self._undefined(j, state, undefined[state])
-        for sources, space in spaces:
+        for sources, space, mass in spaces:
             if state in sources:
-                return self._lhs(args, space)
+                return self._lhs(args, space, mass)
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
@@ -243,8 +216,9 @@ class Evaluator:
                 reader = j if mode.innermost_scope else outer
                 target = (levels[-1] if levels
                           else self._ext_core(reader, core, mode))
-                sets.append(self._where(j, mode, reader,
-                                        lambda space: space.believes(target)))
+                sets.append(self._where(
+                    j, mode, reader,
+                    lambda space, _: space.believes(target)))
             levels.append(frozenset.intersection(*sets))
         return levels[k - 1]
 
@@ -257,7 +231,7 @@ class Evaluator:
         self._require_mode(mode)
         reader = j if mode.innermost_scope else outer
         spaces = self._defined_spaces(j, mode, reader)
-        return frozenset((s, t) for sources, space in spaces
+        return frozenset((s, t) for sources, space, _ in spaces
                          for s in sources for t in space.support())
 
     # -- internals --
@@ -332,33 +306,36 @@ class Evaluator:
                 elif kind is fm.ProbGe:
                     args = [(t.coeff, e) for t, e in zip(g.terms, read)]
                     ext[k] = self._where(
-                        g.agent, mode, reader,
-                        lambda space: self._lhs(args, space) >= g.bound)
+                        g.agent, mode, reader, lambda space, mass:
+                        self._lhs(args, space, mass) >= g.bound)
                 else:
                     ext[k] = self._cb_set(g.group, g.arg, mode, a)
         return ext[key]
 
     @staticmethod
-    def _lhs(args, space) -> Fraction:
+    def _lhs(args, space, mass) -> Fraction:
         """Left-hand side of a probability comparison: the sum of each
         coefficient times ``space``'s measure of its argument's extension
-        within the space."""
-        return sum((coeff * space.measure(ext & space.states)
-                    for coeff, ext in args), Fraction(0))
+        within the space, divided once by the space's normaliser ``mass``
+        unless that is 1."""
+        total = sum((coeff * space.measure(ext & space.states)
+                     for coeff, ext in args), Fraction(0))
+        return total if mass == 1 else total / mass
 
     def _spaces(self, j: int, mode: EvalMode, reader: int) -> tuple:
         """Agent j's probability spaces, with j's signals read by
         ``reader`` in the signal modes.
 
         Returns ``(spaces, containing, undefined)``.  ``spaces`` lists each
-        space with the states it serves: in the cell modes each cell with
-        its ``CellBeliefs``; in the signal modes each distinct conditioning
-        event with j's prior conditioned on it.  ``containing`` maps a
-        state to the indices of the spaces whose support contains it;
-        ``undefined`` maps each state whose event has prior mass 0 to that
-        event; its first key is the first such state in ``states`` order.
-        Cached per (agent, reader); the reader matters only in the signal
-        modes.
+        space as (the states it serves, its ``CellBeliefs``, its
+        normaliser): in the cell modes each cell with its own space and 1;
+        in the signal modes each distinct conditioning event E with a
+        space over E that holds j's prior masses, one singleton atom per
+        state, and E's prior mass.  ``containing`` maps a state to the
+        indices of the spaces whose support contains it; ``undefined`` maps
+        each state whose event has prior mass 0 to that event; its first
+        key is the first such state in ``states`` order.  Cached per
+        (agent, reader); the reader matters only in the signal modes.
         """
         key = (j, reader if mode.is_ai else None)
         got = self._tables.get(key)
@@ -372,18 +349,24 @@ class Evaluator:
                 event = self.extension(reader, m.signals[j][s],
                                        EvalMode.OUTERMOST)
                 served.setdefault(event, []).append(s)
+            prior, zero = m.priors[j], Fraction(0)
+            atoms = self._atoms
+            if atoms is None:  # one per state, shared by every space
+                atoms = self._atoms = {s: frozenset([s]) for s in m.states}
             spaces = []
             for event, states in served.items():
-                mass = m.prior_mass(j, event)
+                masses = tuple(prior.get(s, zero) for s in event)
+                mass = sum(masses, zero)
                 if mass == 0:
                     undefined.update(dict.fromkeys(states, event))
                 else:
-                    spaces.append((frozenset(states),
-                                   _Conditional(m.priors[j], event, mass)))
+                    spaces.append((frozenset(states), CellBeliefs(
+                        event, tuple(atoms[s] for s in event), masses), mass))
         else:
-            spaces = list(zip(m.partitions[j], m.beliefs[j]))
+            spaces = [(cell, cb, 1)
+                      for cell, cb in zip(m.partitions[j], m.beliefs[j])]
         containing = {}
-        for b, (_, space) in enumerate(spaces):
+        for b, (_, space, _) in enumerate(spaces):
             for t in space.support():
                 containing.setdefault(t, []).append(b)
         got = self._tables[key] = (spaces, containing, undefined)
@@ -401,8 +384,8 @@ class Evaluator:
         """States served by those of agent j's spaces that satisfy
         ``holds``."""
         out = set()
-        for sources, space in self._defined_spaces(j, mode, reader):
-            if holds(space):
+        for sources, space, mass in self._defined_spaces(j, mode, reader):
+            if holds(space, mass):
                 out |= sources
         return frozenset(out)
 
@@ -449,8 +432,8 @@ class Evaluator:
             reader = j if mode.innermost_scope else outer
             spaces, containing, undef = self._spaces(j, mode, reader)
             holds = self._ext_core(reader, f, mode)
-            failed = [not space.believes(holds) for _, space in spaces]
-            for (sources, _), dead in zip(spaces, failed):
+            failed = [not space.believes(holds) for _, space, _ in spaces]
+            for (sources, _, _), dead in zip(spaces, failed):
                 if dead:
                     fail(sources)
             graphs.append((spaces, containing, failed))

@@ -24,6 +24,8 @@ from fractions import Fraction
 from . import formula as fm
 from .errors import (
     CoreInvalid,
+    FormulaSyntaxError,
+    FormulaTooDeep,
     MissingSignals,
     ModelFormatError,
     ModePrereqMissing,
@@ -48,7 +50,8 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(@[0-9]+)?$")
 
 
 class CellBeliefs(fm.Frozen):
-    """Probability space of one partition cell.
+    """Probability space of one partition cell; also, unnormalised, an
+    agent's prior restricted to a conditioning event.
 
     ``atoms`` partition the cell and generate the measurable sets; the mass
     of a measurable event is the sum of its atoms' masses.  With singleton
@@ -147,7 +150,9 @@ class Structure(fm.Frozen):
         for label, mapping in (("partitions", self.partitions),
                                ("beliefs", self.beliefs),
                                ("interpretations", self.interpretations)):
-            if set(mapping) != set(self.agents):
+            # Sizes first: no set of all n agents is built for a large n.
+            if (len(mapping) != self.n_agents
+                    or not all(i in mapping for i in self.agents)):
                 raise ModelFormatError("%s must cover agents 1..%d exactly"
                                        % (label, self.n_agents))
         for i in self.agents:
@@ -615,7 +620,10 @@ def structure_from_dict(data: dict) -> Structure:
         if not isinstance(text, str):
             raise ModelFormatError("%s: expected formula text, got %r"
                                    % (where, text))
-        return fm.parse(text)
+        try:
+            return fm.parse(text)
+        except (FormulaSyntaxError, FormulaTooDeep) as exc:
+            raise ModelFormatError("%s: %s" % (where, exc))
 
     def by_name(read, of_states=False):
         """Reader of an object keyed by names (states if ``of_states``)."""
@@ -667,8 +675,12 @@ def structure_from_dict(data: dict) -> Structure:
     interpretations = per_agent("interpretations", dict, by_name(states_in))
     priors = per_agent("priors", dict, by_name(_rational, True), False)
     signals = per_agent("signals", dict, by_name(signal, True), False)
-    for p in props:
-        _expect(p, str, "props")
+    declared = {_expect(p, str, "props") for p in props}
+    for i, named in interpretations.items():
+        for p in named:  # in file order, after the props block is checked
+            if p not in declared:
+                raise ModelFormatError(
+                    "interpretations[%d]: unknown proposition %r" % (i, p))
     return Structure(n, states, props, partitions, beliefs, interpretations,
                      priors, signals)
 
@@ -679,6 +691,10 @@ def loads_structure(text: str) -> Structure:
                           object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError("bad JSON: %s" % exc)
+    except RecursionError:
+        raise ModelFormatError("bad JSON: nested too deeply")
+    except ValueError:  # from int(), for an integer of too many digits
+        raise ModelFormatError("bad JSON: an integer has too many digits")
     return structure_from_dict(data)
 
 

@@ -1,7 +1,8 @@
 """Property tests: ``Evaluator`` against the brute-force ``tests/oracle.py``
 on small structures and surface formulas that Hypothesis draws, in the
 cell modes, in common mode with indexed propositions, and in the
-plain-signal ``ou-ai``/``in-ai`` modes, with states of prior mass zero."""
+``ou-ai``/``in-ai`` modes with plain and with cross-read signals, with
+states of prior mass zero."""
 
 from fractions import Fraction
 
@@ -17,11 +18,21 @@ from ambilogic.structure import Structure, generate_priors, singleton_cell
 from ambilogic.transforms import attach_cell_signals, fix_interpretation
 from ambilogic.translation import lift_to_indexed
 
-from oracle import eval_brute
+from oracle import eval_brute, prob_value_brute
 
 PROPS = ("p", "q")
 BOUNDS = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2, 3)})
 COEFFS = [r for r in BOUNDS if r]
+
+
+def partition(draw, states):
+    """A partition of ``states`` drawn as one block label per state."""
+    n = len(states)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cells = {}
+    for s, label in zip(states, labels):
+        cells.setdefault(label, []).append(s)
+    return tuple(frozenset(c) for c in cells.values())
 
 
 @st.composite
@@ -33,13 +44,9 @@ def structures(draw):
     n_agents = draw(st.integers(1, 3))
     partitions, beliefs, interpretations = {}, {}, {}
     for i in range(1, n_agents + 1):
-        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        cells = {}
-        for s, label in zip(states, labels):
-            cells.setdefault(label, []).append(s)
-        partitions[i] = tuple(frozenset(c) for c in cells.values())
+        partitions[i] = partition(draw, states)
         cell_beliefs = []
-        for cell in cells.values():
+        for cell in map(sorted, partitions[i]):
             weights = draw(st.lists(st.integers(0, 3), min_size=len(cell),
                                     max_size=len(cell)))
             if not any(weights):
@@ -126,22 +133,80 @@ def test_cell_modes_match_oracle(m, data):
            (EvalMode.COMMON,))
 
 
+def zero_a_prior_state(m, data):
+    """m, or m with one drawn state's prior mass set to zero: refused while
+    unnormalised, then renormalised when mass remains."""
+    if not data.draw(st.booleans(), label="zero a prior state"):
+        return m
+    agent = data.draw(st.sampled_from(m.agents), label="agent")
+    state = data.draw(st.sampled_from(m.states), label="state")
+    nu = dict(m.priors[agent], **{state: Fraction(0)})
+    total = sum(nu.values())
+    if total != 1:  # an unnormalized prior is refused
+        with pytest.raises(CoreInvalid, match="prior-sum: agent %d "
+                           % agent):
+            Evaluator(m.replace(priors={**m.priors, agent: nu}))
+    if total:  # renormalized, so the state keeps prior mass zero
+        m = m.replace(priors={**m.priors, agent: {
+            s: v / total for s, v in nu.items()}})
+    return m
+
+
+def cross_read(m, data):
+    """m with one fresh signal label per (agent, state): its owner reads
+    it as their cell there, every other agent as the block holding the
+    state in a partition drawn per (owner, reader)."""
+    props = list(m.props)
+    interpretations = {i: dict(m.interpretations[i]) for i in m.agents}
+    signals = {}
+    for i in m.agents:
+        blocks = {j: partition(data.draw, m.states)
+                  for j in m.agents if j != i}
+        signals[i] = {}
+        for s in m.states:
+            name = "u%d_%s" % (i, s)
+            props.append(name)
+            for j in m.agents:
+                interpretations[j][name] = (
+                    m.cell_of(i, s) if j == i
+                    else next(b for b in blocks[j] if s in b))
+            signals[i][s] = fm.Prop(name)
+    return m.replace(props=tuple(props), interpretations=interpretations,
+                     signals=signals)
+
+
 @settings(max_examples=60, deadline=None)
 @given(structures(), st.data())
 def test_plain_signal_modes_match_oracle(m, data):
     m, _ = attach_cell_signals(m.replace(priors=generate_priors(m)))
-    if data.draw(st.booleans(), label="zero a prior state"):
-        agent = data.draw(st.sampled_from(m.agents), label="agent")
-        state = data.draw(st.sampled_from(m.states), label="state")
-        nu = dict(m.priors[agent], **{state: Fraction(0)})
-        total = sum(nu.values())
-        if total != 1:  # an unnormalized prior is refused
-            with pytest.raises(CoreInvalid, match="prior-sum: agent %d "
-                               % agent):
-                Evaluator(m.replace(priors={**m.priors, agent: nu}))
-        if total:  # renormalized, so the state keeps prior mass zero
-            m = m.replace(priors={**m.priors, agent: {
-                s: v / total for s, v in nu.items()}})
+    m = zero_a_prior_state(m, data)
     plain = [fm.Prop(p) for p in PROPS]
     _agree(m, data.draw(surface_formulas(m, plain, False), label="formulas"),
            (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI))
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.data())
+def test_cross_read_signal_modes_match_oracle(m, data):
+    # Readers other than the owner condition on blocks of another
+    # partition, so ou-ai and in-ai differ, and a block of prior mass zero
+    # makes a conditional undefined.  Each comparison's exact value is
+    # checked too, as it is divided by its event's prior mass.
+    m = zero_a_prior_state(
+        cross_read(m.replace(priors=generate_priors(m)), data), data)
+    plain = [fm.Prop(p) for p in PROPS]
+    formulas = data.draw(surface_formulas(m, plain, False), label="formulas")
+    modes = (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI)
+    _agree(m, formulas, modes)
+    ev = Evaluator(m)
+    for g in dict.fromkeys(g for f in formulas for g in fm.subformulas(f)
+                           if isinstance(g, fm.ProbGe)):
+        for mode in modes:
+            for i in m.agents:
+                for s in m.states:
+                    try:
+                        got = ev.prob_value(s, i, g, mode)
+                    except UndefinedConditional:
+                        continue
+                    assert got == prob_value_brute(m, s, i, g, mode), (
+                        s, i, fm.print_formula(g), mode.value)

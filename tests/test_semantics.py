@@ -24,7 +24,6 @@ from ambilogic.generators import (
     random_surface_formula,
 )
 from ambilogic.modes import EvalMode
-from ambilogic import semantics
 from ambilogic.campaign import CHECK_NAMES, Campaign, run_campaign
 from ambilogic.semantics import Evaluator, valid_in_model
 from ambilogic.structure import (
@@ -670,4 +669,4 @@ def test_campaign_formulas_leave_no_cyclic_garbage():
         "Prop", "IndexedProp", "Not", "And", "ProbTerm", "ProbGe", "CB",
         "Or", "Implies", "Iff", "TrueF", "FalseF", "B", "EB"))
     assert not [g for g in garbage
-                if isinstance(g, nodes + (Evaluator, semantics._Conditional))]
+                if isinstance(g, nodes + (Evaluator, CellBeliefs))]

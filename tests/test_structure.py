@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from ambilogic import formula as fm
 from ambilogic.errors import (
     CoreInvalid,
-    FormulaSyntaxError,
     MissingSignals,
     ModelFormatError,
     NotMeasurable,
@@ -357,8 +357,11 @@ def test_loader_rejects_floats():
         loads_structure(json.dumps(blob))
 
 
-@pytest.mark.parametrize("signal", [3, ["s"], {"s": 1}, None])
+@pytest.mark.parametrize("signal", [
+    3, ["s"], {"s": 1}, None, pytest.param("p &", id="syntax"),
+    pytest.param("(" * 101 + "s" + ")" * 101, id="too-deep")])
 def test_loader_rejects_non_string_signals(signal):
+    # Formula text the parser refuses is a format error at its place too.
     blob = structure_to_dict(m_sig())
     blob["signals"]["1"]["w1"] = signal
     with pytest.raises(ModelFormatError, match=r"signals\[1\]\[w1\]"):
@@ -566,8 +569,8 @@ def _mutate(rng, blob):
 
 def test_loader_refuses_mutated_models_only_with_format_errors():
     """Never an internal error: each of 360 seeded edits of the demo
-    models loads, or raises ModelFormatError; a signal text that does not
-    parse raises the parser's FormulaSyntaxError, as a query would."""
+    models loads, or raises ModelFormatError, a signal text that does not
+    parse included."""
     rng = random.Random(12)
     bases = [json.loads((MODELS / name).read_text(encoding="utf-8"))
              for name in ("m_red.json", "m_sig.json", "m_ai.json")]
@@ -578,9 +581,47 @@ def test_loader_refuses_mutated_models_only_with_format_errors():
             _mutate(rng, blob)
         try:
             loads_structure(json.dumps(blob).replace('"__again__', '"'))
-        except (ModelFormatError, FormulaSyntaxError):
+        except ModelFormatError:
             refused += 1
     assert refused > 180
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, "bad JSON: nested too deeply"),
+    ('{"agents": %s}' % ("1" * 4301),
+     "bad JSON: an integer has too many digits"),
+], ids=["nested", "long-integer"])
+def test_loader_refuses_json_python_cannot_read(text, message):
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(text)
+    assert str(exc.value) == message
+
+
+def test_loader_refuses_interpretation_of_undeclared_prop():
+    blob = structure_to_dict(m_red())
+    blob["interpretations"]["1"]["q"] = ["w1"]
+    with pytest.raises(ModelFormatError) as exc:
+        structure_from_dict(blob)
+    assert str(exc.value) == "interpretations[1]: unknown proposition 'q'"
+    blob["props"] = ["p", 5]  # a malformed props block is named first
+    with pytest.raises(ModelFormatError) as exc:
+        structure_from_dict(blob)
+    assert str(exc.value) == "props: expected a JSON string"
+
+
+def test_agent_coverage_check_does_not_grow_with_agents():
+    blob = structure_to_dict(m_red())
+    blob["agents"] = 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as exc:
+            structure_from_dict(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("partitions must cover agents 1..1000000 "
+                              "exactly")
+    assert peak < 1_000_000, peak
 
 
 # --- Reports keep their entries, contexts and order ---
