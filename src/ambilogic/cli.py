@@ -32,13 +32,13 @@ from .errors import (
 )
 from .generators import GenBounds
 from .modes import EvalMode
+from .reporting import Report
 from .semantics import Evaluator
 from .structure import (
     dump_structure,
     dumps_structure,
     generate_priors,
     load_structure,
-    validate_core,
     validate_signals,
 )
 from .transforms import disjoint_copies, fix_interpretation, label_partitions
@@ -121,9 +121,13 @@ def _leading_comparison(f):
 
 def _cmd_validate(args) -> int:
     m = load_structure(args.model)
-    report = validate_core(m)
-    if m.signals is not None and report.ok:  # signals need a valid core
-        report.extend(validate_signals(m))
+    try:
+        ev = Evaluator(m)  # checks the core once
+    except CoreInvalid as exc:  # and signals need a valid core
+        report = exc.report
+    else:
+        report = (Report() if m.signals is None
+                  else validate_signals(m, ev))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 

@@ -44,7 +44,15 @@ class MissingSignals(AmbilogicError):
 
 
 class CoreInvalid(AmbilogicError):
-    """A structure fails the core validity checks required by an operation."""
+    """A structure fails the core validity checks required by an operation.
+
+    ``report`` is the failing ``validate_core`` report, so that a caller
+    that shows it need not check the structure again.
+    """
+
+    def __init__(self, message, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class UndefinedConditional(AmbilogicError):

@@ -108,9 +108,11 @@ class _Node(Frozen):
         return self._hash
 
 
-# The live nodes by (class, field values).  Weak, so that a node nothing
-# else holds is freed: a campaign builds fresh formulas on every trial.
-_nodes = weakref.WeakValueDictionary()
+# The live nodes by (class, field values), each held by a weak reference,
+# so that a node nothing else holds is freed: a campaign builds fresh
+# formulas on every trial.  A reference's callback, ``_nodes.pop`` of its
+# key, runs in C when the node is freed and removes the entry.
+_nodes = {}
 
 
 def _node(cls, *values):
@@ -118,14 +120,15 @@ def _node(cls, *values):
     interned already: the live one, or a new one, hashed by the values and,
     but for a ``ProbTerm``, planned (``_node_facts``)."""
     key = (cls, values)
-    node = _nodes.get(key)
+    ref = _nodes.get(key)
+    node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
         node._init(*values)
         _set(node, "_hash", hash(values))
         if cls is not ProbTerm:
             _set(node, "_facts", _node_facts(node))
-        _nodes[key] = node
+        _nodes[key] = weakref.ref(node, partial(_nodes.pop, key))
     return node
 
 

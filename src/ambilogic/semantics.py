@@ -85,7 +85,8 @@ class Evaluator:
 
     def __init__(self, m: Structure):
         if not (report := validate_core(m)).ok:
-            raise CoreInvalid("structure fails core checks: %s" % report)
+            raise CoreInvalid("structure fails core checks: %s" % report,
+                              report)
         self.m = m
         self._universe = m.universe
         self._agents = frozenset(m.agents)
@@ -332,7 +333,9 @@ class Evaluator:
         in the signal modes each distinct conditioning event E with a
         space over E that holds j's prior masses, one singleton atom per
         state, and E's prior mass.  ``containing`` maps a state to the
-        indices of the spaces whose support contains it; ``undefined`` maps
+        index of the space whose support contains it: the supports are
+        disjoint once a mode's prerequisites pass (each lies in a cell or
+        in a block of a partition of the states); ``undefined`` maps
         each state whose event has prior mass 0 to that event; its first
         key is the first such state in ``states`` order.  Cached per
         (agent, reader); the reader matters only in the signal modes.
@@ -367,8 +370,7 @@ class Evaluator:
                       for cell, cb in zip(m.partitions[j], m.beliefs[j])]
         containing = {}
         for b, (_, space, _) in enumerate(spaces):
-            for t in space.support():
-                containing.setdefault(t, []).append(b)
+            containing.update(dict.fromkeys(space.support(), b))
         got = self._tables[key] = (spaces, containing, undefined)
         return got
 
@@ -442,10 +444,10 @@ class Evaluator:
         while stack:
             t = stack.pop()
             for spaces, containing, failed in graphs:
-                for b in containing.get(t, ()):
-                    if not failed[b]:
-                        failed[b] = True
-                        fail(spaces[b][0])
+                b = containing.get(t)
+                if b is not None and not failed[b]:
+                    failed[b] = True
+                    fail(spaces[b][0])
         if undefined:
             for s in self.m.states:
                 if s in undefined and s not in bad:

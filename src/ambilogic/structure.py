@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
+from itertools import filterfalse
 
 from . import formula as fm
 from .errors import (
@@ -56,7 +58,8 @@ class CellBeliefs(fm.Frozen):
     ``atoms`` partition the cell and generate the measurable sets; the mass
     of a measurable event is the sum of its atoms' masses.  With singleton
     atoms (the powerset algebra) every event is measurable and point masses
-    are cached for speed.
+    are cached for speed.  One pass over the atoms finds both the support
+    and the point masses.
     """
 
     _fields = ("states", "atoms", "masses")
@@ -67,14 +70,19 @@ class CellBeliefs(fm.Frozen):
         set_field(self, "states", states)
         set_field(self, "atoms", atoms)
         set_field(self, "masses", masses)
-        support = frozenset().union(
-            *(atom for atom, mass in zip(self.atoms, self.masses)
-              if mass.numerator > 0)) if self.atoms else frozenset()
-        point = None
-        if all(len(atom) == 1 for atom in self.atoms):
-            point = {min(atom): mass
-                     for atom, mass in zip(self.atoms, self.masses)}
-        set_field(self, "_support", support)
+        positive = []
+        point = {}
+        for atom, mass in zip(atoms, masses):
+            if mass.numerator > 0:
+                positive.append(atom)
+            if point is None:
+                continue
+            if len(atom) == 1:
+                [s] = atom
+                point[s] = mass
+            else:
+                point = None
+        set_field(self, "_support", frozenset().union(*positive))
         set_field(self, "_point", point)
 
     def support(self) -> frozenset:
@@ -201,10 +209,21 @@ class Structure(fm.Frozen):
 
 # --- Validation ---
 
-def _exact_sum(qs) -> Fraction:
-    """Sum of rationals in integers over the LCM of their denominators."""
-    d = math.lcm(*(q.denominator for q in qs))
-    return Fraction(sum(q.numerator * d // q.denominator for q in qs), d)
+def _exact_sum(qs) -> tuple:
+    """(whether any of the rationals is negative, their sum), reading each
+    one's numerator and denominator once.  The sum is exact: numerators
+    are added per denominator, and each such sum is scaled once to the LCM
+    of the denominators, which masses often share."""
+    per_den = {}
+    negative = False
+    for q in qs:
+        n, d = q.as_integer_ratio()
+        per_den[d] = per_den.get(d, 0) + n
+        if n < 0:
+            negative = True
+    lcm = math.lcm(*per_den)
+    return negative, Fraction(
+        sum(n * (lcm // d) for d, n in per_den.items()), lcm)
 
 
 def _show_sum(q: Fraction) -> str:
@@ -269,11 +288,11 @@ def validate_core(m: Structure) -> Report:
                            "agent %d cell %d: atoms do not partition the "
                            "cell" % (i, ci), agent=i, cell=ci)
                 continue
-            if any(mass.numerator < 0 for mass in cb.masses):
+            negative, total = _exact_sum(cb.masses)
+            if negative:
                 report.add("measure-negative",
                            "agent %d cell %d has a negative mass" % (i, ci),
                            agent=i, cell=ci)
-            total = _exact_sum(cb.masses)
             if total != 1:
                 shown = _show_sum(total)
                 report.add("measure-sum",
@@ -330,10 +349,10 @@ def validate_core(m: Structure) -> Report:
                 report.add("prior-missing", "agent %d has no prior" % i,
                            agent=i)
                 continue
-            if any(v.numerator < 0 for v in nu.values()):
+            negative, total = _exact_sum(nu.values())
+            if negative:
                 report.add("prior-negative",
                            "agent %d prior has a negative mass" % i, agent=i)
-            total = _exact_sum(nu.values())
             if total != 1:
                 shown = _show_sum(total)
                 report.add("prior-sum",
@@ -468,7 +487,7 @@ def generate_priors(m: Structure) -> dict:
     blocking = [v for v in core.entries if v.kind in _CORE_KINDS]
     if blocking:
         raise CoreInvalid("structure fails core checks: %s"
-                          % "; ".join(v.message for v in blocking))
+                          % "; ".join(v.message for v in blocking), core)
     priors = {}
     for i in m.agents:
         cells = m.partitions[i]
@@ -520,6 +539,7 @@ def is_common_interpretation(m: Structure) -> bool:
 # The forms ``structure_to_dict`` writes, read with ``int``; ``Fraction``
 # parses any other string, with the same value and the same errors.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_DIGITS = re.compile(r"\d+")  # as Fraction's parser reads them
 
 
 def _rational(value, where: str) -> Fraction:
@@ -531,13 +551,25 @@ def _rational(value, where: str) -> Fraction:
             num, den = plain.groups()
             return Fraction(int(num), int(den) if den else 1)
         except (ValueError, ZeroDivisionError):
-            raise ModelFormatError("%s: bad rational %r" % (where, value))
+            raise ModelFormatError("%s: %s" % (where, _refusal(value)))
     if isinstance(value, bool) or isinstance(value, float):
         raise ModelFormatError("%s: floating point or boolean rejected, "
                                "use \"num/den\" strings" % where)
     if isinstance(value, int):
         return Fraction(value)
     raise ModelFormatError("%s: bad rational %r" % (where, value))
+
+
+def _refusal(text: str) -> str:
+    """Why the rational string ``text`` is refused.  Python's ``int`` reads
+    no run of more digits than its limit (``sys.set_int_max_str_digits``);
+    such a run is named by its length, not echoed."""
+    digits = max(map(len, _DIGITS.findall(text)), default=0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        return "rational of %d digits exceeds the %d-digit limit" % (
+            digits, limit)
+    return "bad rational %r" % text
 
 
 def _expect(value, kind, where: str):
@@ -578,15 +610,18 @@ def structure_from_dict(data: dict) -> Structure:
                    for s in _expect(block("states"), list, "states"))
     props = tuple(_expect(block("props"), list, "props"))
     state_set = frozenset(states)
+    # One singleton atom per state, shared by every agent's cells.
+    singletons = {s: frozenset([s]) for s in state_set}
 
     def states_in(names, where):
         try:
             out = frozenset(_expect(names, list, where))
         except TypeError:  # an array or object cannot name a state
             raise ModelFormatError("%s: expected a JSON string" % where)
-        for s in names:  # in file order: the same error in every process
-            if s not in state_set:
-                raise ModelFormatError("%s: unknown state %r" % (where, s))
+        # In file order, the same error in every process; the walk runs in
+        # C, and its body only for an unknown state.
+        for s in filterfalse(state_set.__contains__, names):
+            raise ModelFormatError("%s: unknown state %r" % (where, s))
         return out
 
     def per_agent(key, kind, read, required=True):
@@ -606,14 +641,15 @@ def structure_from_dict(data: dict) -> Structure:
         return {i: read(i, _expect(v, kind, where), where)
                 for i, where, v in named}
 
-    memo = {}  # (reader, string) -> value: each is read once per file
+    # Each distinct string value is read once per file, by one reader:
+    # later sightings are a lookup in that reader's memo, and a value's
+    # location is spelled out only when it is read.
+    rationals = {}
 
-    def once(read, value, where):
-        if not isinstance(value, str):
-            return read(value, where)
-        got = memo.get((read, value))
-        if got is None:
-            got = memo[read, value] = read(value, where)
+    def miss(memo, read, value, where):
+        got = read(value, where)
+        if isinstance(value, str):  # the only values looked up
+            memo[value] = got
         return got
 
     def signal(text, where):
@@ -625,14 +661,20 @@ def structure_from_dict(data: dict) -> Structure:
         except (FormulaSyntaxError, FormulaTooDeep) as exc:
             raise ModelFormatError("%s: %s" % (where, exc))
 
-    def by_name(read, of_states=False):
-        """Reader of an object keyed by names (states if ``of_states``)."""
+    def by_name(read, of_states=False, memo=None):
+        """Reader of an object keyed by names (states if ``of_states``),
+        in file order."""
+        memo = {} if memo is None else memo
+
         def read_names(i, values, where):
             out = {}
             for k, v in values.items():
                 if of_states and k not in state_set:
                     raise ModelFormatError("%s: unknown state %r" % (where, k))
-                out[k] = once(read, v, "%s[%s]" % (where, k))
+                got = memo.get(v) if isinstance(v, str) else None
+                if got is None:
+                    got = miss(memo, read, v, "%s[%s]" % (where, k))
+                out[k] = got
             return out
         return read_names
 
@@ -653,14 +695,17 @@ def structure_from_dict(data: dict) -> Structure:
                 keys = [str(idx) for idx in range(len(atoms))]
             else:
                 keys = sorted(cell)  # a fixed order, as in states_in
-                atoms = tuple(frozenset([s]) for s in keys)
+                atoms = tuple([singletons[s] for s in keys])
             masses = []
             for key in keys:
                 raw = measure.get(key, None if coarse else 0)
                 if raw is None and coarse:
                     raise ModelFormatError(
                         "%s: measure missing atom index %s" % (at, key))
-                masses.append(once(_rational, raw, at))
+                mass = rationals.get(raw) if isinstance(raw, str) else None
+                if mass is None:
+                    mass = miss(rationals, _rational, raw, at)
+                masses.append(mass)
             extra = set(measure).difference(keys)
             if extra:
                 raise ModelFormatError(
@@ -673,7 +718,8 @@ def structure_from_dict(data: dict) -> Structure:
         states_in(cell, where) for cell in cells))
     beliefs = per_agent("beliefs", list, cell_beliefs)
     interpretations = per_agent("interpretations", dict, by_name(states_in))
-    priors = per_agent("priors", dict, by_name(_rational, True), False)
+    priors = per_agent("priors", dict, by_name(_rational, True, rationals),
+                       False)
     signals = per_agent("signals", dict, by_name(signal, True), False)
     declared = {_expect(p, str, "props") for p in props}
     for i, named in interpretations.items():

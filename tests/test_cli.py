@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from ambilogic import cli, semantics
 from ambilogic.cli import main
 from ambilogic.modes import EvalMode
-from ambilogic.structure import dump_structure, loads_structure
+from ambilogic.structure import (dump_structure, load_structure,
+                                 loads_structure, validate_core)
 
 from demo_models import MODELS, m_sig
 
@@ -291,6 +293,36 @@ def test_validate_skips_signal_checks_on_invalid_core(tmp_path, capsys):
     assert not any(v["kind"].startswith("signal-")
                    for v in report["violations"])
     assert captured.err == ""
+
+
+def _count_core_checks(monkeypatch):
+    """Count ``validate_core`` calls from the modules that may make them."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return validate_core(m)
+
+    for module in (cli, semantics):
+        monkeypatch.setattr(module, "validate_core", counted, raising=False)
+    return calls
+
+
+def test_validate_checks_the_core_once(tmp_path, monkeypatch, capsys):
+    """One ``Evaluator`` checks the core and reads the signals; a structure
+    failing the core is reported from the report its refusal carries."""
+    calls = _count_core_checks(monkeypatch)
+    assert main(["validate", "--model", AI_MODEL]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(calls) == 1
+    path = _broken_copy(tmp_path, "m_ai.json", lambda data: data[
+        "beliefs"]["2"][0]["measure"].update(a="3/2"))
+    calls.clear()
+    assert main(["validate", "--model", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report == validate_core(load_structure(path)).to_dict()
+    assert [v["kind"] for v in report["violations"]] == ["measure-sum"]
 
 
 def _mass_of_4300_nines(data):  # the sum has 4,301 digits

@@ -15,6 +15,7 @@ import pytest
 
 import ambilogic
 from ambilogic import formula as fm
+from ambilogic.campaign import Campaign, run_campaign
 from ambilogic.generators import GenBounds
 from ambilogic.structure import CellBeliefs
 from ambilogic.transforms import TransformClaim
@@ -104,6 +105,29 @@ def test_interned_formula_is_freed_when_unused():
     del f
     gc.collect()
     assert ref() is None
+
+
+def test_dropped_formula_is_interned_again_when_rebuilt():
+    text = "Pr1(rebuilt_after_drop & q) >= 1/3"
+    before = len(fm._nodes)
+    f = fm.parse(text)
+    assert len(fm._nodes) > before
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None and len(fm._nodes) == before  # entries removed
+    again = fm.parse(text)
+    assert again is fm.parse(text)
+    assert fm.expand(again) is fm.expand(fm.parse(text))
+
+
+def test_node_table_does_not_grow_across_campaign_trials():
+    run_campaign(Campaign(seed=3, trials=2))
+    gc.collect()
+    before = len(fm._nodes)
+    run_campaign(Campaign(seed=4, trials=20))
+    gc.collect()
+    assert len(fm._nodes) <= before
 
 
 def _check_output(hash_seed):

@@ -20,6 +20,7 @@ from ambilogic.errors import (
     UnknownAgent,
     UnknownProp,
 )
+from ambilogic.generators import GenBounds, random_signal_structure
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator
 from ambilogic.structure import (
@@ -392,7 +393,8 @@ def test_structure_requires_aligned_cells():
 
 
 # --- Rationals: the forms the writer uses are read with int, any other
-# string through Fraction; values and messages are those of Fraction alone.
+# string through Fraction; values and messages are those of Fraction alone,
+# but for a run of more digits than int reads, which is named by length.
 
 def _with_w1_mass(raw):
     """m_red's JSON with agent 2's mass at w1 set to ``raw``."""
@@ -417,7 +419,7 @@ def test_loader_reads_rationals(raw, value):
     ("1/-2", "bad rational '1/-2'"),
     ("", "bad rational ''"),
     ("1//2", "bad rational '1//2'"),
-    ("7" * 5000, "bad rational '%s'" % ("7" * 5000)),
+    ("7" * 5000, "rational of 5000 digits exceeds the 4300-digit limit"),
     (True, 'floating point or boolean rejected, use "num/den" strings'),
     (False, 'floating point or boolean rejected, use "num/den" strings'),
     (None, "bad rational None"),
@@ -460,6 +462,84 @@ def test_loader_error_does_not_depend_on_the_hash_seed(edit, message):
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
         seen.add(proc.stdout.strip())
     assert seen == {message}
+
+
+# --- Each block is read in one pass, in file order: of two faults in a
+# block, the loader names the one that comes first.
+
+@pytest.mark.parametrize("block, faults", [
+    ("priors", [(("w1", "1/2/3"), "priors[1][w1]: bad rational '1/2/3'"),
+                (("zz", "1/2"), "priors[1]: unknown state 'zz'")]),
+    ("signals", [(("w1", 3), "signals[1][w1]: expected formula text, got 3"),
+                 (("zz", "s"), "signals[1]: unknown state 'zz'")]),
+    ("interpretations", [
+        (("p", "w1"), "interpretations[1][p]: expected a JSON array"),
+        (("s", ["w1", "zz"]), "interpretations[1][s]: unknown state 'zz'")]),
+], ids=["priors", "signals", "interpretations"])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["as-is", "swapped"])
+def test_loader_names_the_first_fault_of_a_block(block, faults, order):
+    blob = structure_to_dict(m_sig())
+    named = {}
+    for k in order:
+        key, value = faults[k][0]
+        named[key] = value
+    blob[block]["1"] = {**named, **{k: v for k, v in blob[block]["1"].items()
+                                    if k not in named}}
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(json.dumps(blob))
+    assert str(exc.value) == faults[order[0]][1]
+
+
+_BAD_MASS = "beliefs[1][%d]: bad rational '1/2/3'"
+_OUTSIDE = "beliefs[1][%d]: measure names states outside the cell: ['zz']"
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([{"w1": "1/2/3"}, {"w2": "1", "zz": "0"}], _BAD_MASS % 0),
+    ([{"w1": "1", "zz": "0"}, {"w2": "1/2/3"}], _OUTSIDE % 0),
+    # Within a cell the masses are read in the order of its states, and
+    # then its keys are checked: a bad mass is named either way round.
+    ([{"w1": "1"}, {"w2": "1/2/3", "zz": "0"}], _BAD_MASS % 1),
+    ([{"w1": "1"}, {"zz": "0", "w2": "1/2/3"}], _BAD_MASS % 1),
+], ids=["bad-mass-first", "outside-first", "in-cell", "in-cell-swapped"])
+def test_loader_names_the_first_fault_of_point_mass_cells(cells, message):
+    blob = structure_to_dict(m_sig())  # agent 1's cells are {w1} and {w2}
+    blob["beliefs"]["1"] = [{"measure": measure} for measure in cells]
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(json.dumps(blob))
+    assert str(exc.value) == message
+
+
+def _coarsened(m, rng):
+    """``m`` with one random agent's first cell given the trivial algebra."""
+    i = rng.choice(list(m.agents))
+    cell = m.partitions[i][0]
+    beliefs = dict(m.beliefs)
+    beliefs[i] = (CellBeliefs(cell, (cell,), (ONE,)),) + m.beliefs[i][1:]
+    return m.replace(beliefs=beliefs)
+
+
+def test_json_roundtrip_of_generated_structures():
+    """Priors, signals (plain and cross-read) and coarse atoms read back
+    to equal cells, priors and signals, with the same point masses."""
+    rng = random.Random(14)
+    bounds = GenBounds(max_states=6, max_agents=3, max_props=3)
+    for k in range(60):
+        m = random_signal_structure(rng, bounds, cross=k % 2 == 1)
+        if k % 3 == 0:
+            m = _coarsened(m, rng)
+        again = loads_structure(dumps_structure(m))
+        assert structure_to_dict(again) == structure_to_dict(m)
+        assert again.states == m.states and again.props == m.props
+        assert again.partitions == m.partitions
+        assert again.interpretations == m.interpretations
+        assert again.priors == m.priors
+        assert again.signals == m.signals
+        for i in m.agents:
+            assert again.beliefs[i] == m.beliefs[i]
+            for cb, want in zip(again.beliefs[i], m.beliefs[i]):
+                assert cb.support() == want.support()
+                assert cb._point == want._point
 
 
 def test_loader_rejects_json_floats_by_name():
