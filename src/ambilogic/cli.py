@@ -51,55 +51,73 @@ _FAILURE_ERRORS = (NotCommonInterpretation, CoreInvalid, AlreadyIndexed,
                    ModePrereqMissing, MissingSignals)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When ``argv`` starts with a command name,
+    only that command's arguments are declared, as nothing else can parse;
+    otherwise (top-level help, a missing or unknown command) all are."""
     parser = argparse.ArgumentParser(
         prog="ambilogic",
         description="Model checker for multi-agent epistemic probability "
                     "logic with ambiguous interpretations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # With one command declared, the usage line still lists them all.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if named is None else "{%s}" % ",".join(_COMMANDS))
 
-    p = sub.add_parser("validate", help="check a structure file")
-    p.add_argument("--model", required=True, help="structure file (JSON)")
+    if named in (None, "validate"):
+        p = sub.add_parser("validate", help="check a structure file")
+        p.add_argument("--model", required=True, help="structure file (JSON)")
 
-    p = sub.add_parser("eval", help="evaluate a formula at a state")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--agent", required=True, type=int)
-    p.add_argument("--mode", required=True,
-                   choices=[m.value for m in EvalMode])
-    p.add_argument("--show-value", action="store_true",
-                   help="also print the exact left-hand side of the "
-                        "formula's leading probability comparison")
-    p.add_argument("--json", action="store_true")
+    if named in (None, "eval"):
+        p = sub.add_parser("eval", help="evaluate a formula at a state")
+        p.add_argument("--model", required=True)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--state", required=True)
+        p.add_argument("--agent", required=True, type=int)
+        p.add_argument("--mode", required=True,
+                       choices=[m.value for m in EvalMode])
+        p.add_argument("--show-value", action="store_true",
+                       help="also print the exact left-hand side of the "
+                            "formula's leading probability comparison")
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("transform", help="apply a model transformation")
-    p.add_argument("kind", choices=["fix-interpretation", "disjoint-copies",
-                                    "label-partitions", "generate-priors"])
-    p.add_argument("--model", required=True)
-    p.add_argument("--agent", type=int)
-    p.add_argument("--state")
-    p.add_argument("--out", help="write the result here instead of stdout; "
-                                 "sidecar data goes to <out>.sidecar.json")
+    if named in (None, "transform"):
+        p = sub.add_parser("transform", help="apply a model transformation")
+        p.add_argument("kind", choices=["fix-interpretation",
+                                        "disjoint-copies",
+                                        "label-partitions",
+                                        "generate-priors"])
+        p.add_argument("--model", required=True)
+        p.add_argument("--agent", type=int)
+        p.add_argument("--state")
+        p.add_argument("--out",
+                       help="write the result here instead of stdout; "
+                            "sidecar data goes to <out>.sidecar.json")
 
-    p = sub.add_parser("translate",
-                       help="compile a formula into the indexed language")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--agent", required=True, type=int)
-    p.add_argument("--mode", required=True, choices=["in", "ou"])
+    if named in (None, "translate"):
+        p = sub.add_parser("translate",
+                           help="compile a formula into the indexed language")
+        p.add_argument("--formula", required=True)
+        p.add_argument("--agent", required=True, type=int)
+        p.add_argument("--mode", required=True, choices=["in", "ou"])
 
-    p = sub.add_parser("check", help="run randomized verification campaigns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-states", type=int, default=5)
-    p.add_argument("--max-agents", type=int, default=3)
-    p.add_argument("--max-props", type=int, default=3)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--checks", default=",".join(CHECK_NAMES),
-                   help="comma-separated subset of: %s" % ", ".join(CHECK_NAMES))
-    p.add_argument("--naive-cb", action="store_true",
-                   help="testing hook: corrupt the innermost translation's "
-                        "common-belief clause (thm2-in should then fail)")
+    if named in (None, "check"):
+        p = sub.add_parser("check",
+                           help="run randomized verification campaigns")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--max-states", type=int, default=5)
+        p.add_argument("--max-agents", type=int, default=3)
+        p.add_argument("--max-props", type=int, default=3)
+        p.add_argument("--max-depth", type=int, default=4)
+        p.add_argument("--checks", default=",".join(CHECK_NAMES),
+                       help="comma-separated subset of: %s"
+                            % ", ".join(CHECK_NAMES))
+        p.add_argument("--naive-cb", action="store_true",
+                       help="testing hook: corrupt the innermost "
+                            "translation's common-belief clause (thm2-in "
+                            "should then fail)")
     return parser
 
 
@@ -218,16 +236,20 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+# Each subcommand's handler, in the order the usage line lists them.
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "eval": _cmd_eval,
+    "transform": _cmd_transform,
+    "translate": _cmd_translate,
+    "check": _cmd_check,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "validate": _cmd_validate,
-        "eval": _cmd_eval,
-        "transform": _cmd_transform,
-        "translate": _cmd_translate,
-        "check": _cmd_check,
-    }[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
+    handler = _COMMANDS[args.command]
     try:
         return handler(args)
     except _USAGE_ERRORS as exc:

@@ -31,6 +31,7 @@ refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
 from __future__ import annotations
 
 import re
+import sys
 import weakref
 from fractions import Fraction
 from functools import partial, reduce
@@ -140,6 +141,20 @@ def _positive(agent: int, token=None) -> int:
             ": %r" % (agent,) if token is None
             else " at offset %d: %s" % (token[2], token[1])))
     return agent
+
+
+def _number(digits: str, offset: int) -> int:
+    """The run of ``digits`` at ``offset`` as an int.  Python's ``int``
+    reads no run of more digits than its limit
+    (``sys.set_int_max_str_digits``); such a run is a syntax error that
+    names its length, not echoed."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormulaSyntaxError(
+            offset, {"a number of at most %d digits"
+                     % sys.get_int_max_str_digits()},
+            "%d digits" % len(digits))
 
 
 def _group(group, what: str) -> frozenset:
@@ -356,11 +371,11 @@ class _Parser:
         return self._next()
 
     def _nat(self, what="number"):
-        kind, text, _ = self._peek()
+        kind, text, offset = self._peek()
         if kind != "nat":
             self._fail({what})
         self._next()
-        return int(text)
+        return _number(text, offset)
 
     def _agent(self):
         token = self._peek()
@@ -415,7 +430,8 @@ class _Parser:
             m = _B_RE.match(text)
             if m:
                 self._next()
-                return partial(B, _positive(int(m.group(1)), token))
+                return partial(B, _positive(
+                    _number(m.group(1), offset + 1), token))
             if text in ("E", "CB") and self._peek(1)[:2] == ("op", "{"):
                 self._next()
                 group = self._natlist()
@@ -493,7 +509,7 @@ class _Parser:
         if m is None:
             self._fail({"'Pr<agent>('"})
         self._next()
-        agent = _positive(int(m.group(1)), token)
+        agent = _positive(_number(m.group(1), offset + 2), token)
         self._expect_op("(")
         arg = self._formula()
         self._expect_op(")")

@@ -332,13 +332,13 @@ class Evaluator:
         normaliser): in the cell modes each cell with its own space and 1;
         in the signal modes each distinct conditioning event E with a
         space over E that holds j's prior masses, one singleton atom per
-        state, and E's prior mass.  ``containing`` maps a state to the
-        index of the space whose support contains it: the supports are
-        disjoint once a mode's prerequisites pass (each lies in a cell or
-        in a block of a partition of the states); ``undefined`` maps
-        each state whose event has prior mass 0 to that event; its first
-        key is the first such state in ``states`` order.  Cached per
-        (agent, reader); the reader matters only in the signal modes.
+        state, and E's prior mass.  ``containing`` maps each state of a
+        space to its index (the structure's cell index in the cell modes);
+        spaces are cells, or blocks of a partition of the states, once a
+        mode's prerequisites pass.  ``undefined`` maps each state whose
+        event has prior mass 0 to that event; its first key is the first
+        such state in ``states`` order.  Cached per (agent, reader); the
+        reader matters only in the signal modes.
         """
         key = (j, reader if mode.is_ai else None)
         got = self._tables.get(key)
@@ -356,21 +356,20 @@ class Evaluator:
             atoms = self._atoms
             if atoms is None:  # one per state, shared by every space
                 atoms = self._atoms = {s: frozenset([s]) for s in m.states}
-            spaces = []
+            spaces, containing = [], {}
             for event, states in served.items():
                 masses = tuple(prior.get(s, zero) for s in event)
                 mass = sum(masses, zero)
                 if mass == 0:
                     undefined.update(dict.fromkeys(states, event))
                 else:
+                    containing.update(dict.fromkeys(event, len(spaces)))
                     spaces.append((frozenset(states), CellBeliefs(
                         event, tuple(atoms[s] for s in event), masses), mass))
         else:
             spaces = [(cell, cb, 1)
                       for cell, cb in zip(m.partitions[j], m.beliefs[j])]
-        containing = {}
-        for b, (_, space, _) in enumerate(spaces):
-            containing.update(dict.fromkeys(space.support(), b))
+            containing = m.cell_indices(j)
         got = self._tables[key] = (spaces, containing, undefined)
         return got
 
@@ -445,7 +444,8 @@ class Evaluator:
             t = stack.pop()
             for spaces, containing, failed in graphs:
                 b = containing.get(t)
-                if b is not None and not failed[b]:
+                if (b is not None and not failed[b]
+                        and t in spaces[b][1].support()):
                     failed[b] = True
                     fail(spaces[b][0])
         if undefined:

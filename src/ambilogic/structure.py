@@ -134,7 +134,7 @@ class Structure(fm.Frozen):
 
     _fields = ("n_agents", "states", "props", "partitions", "beliefs",
                "interpretations", "priors", "signals")
-    __slots__ = _fields + ("agents", "universe", "_cell_index")
+    __slots__ = _fields + ("agents", "universe", "_cells")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -168,12 +168,13 @@ class Structure(fm.Frozen):
                 raise ModelFormatError(
                     "agent %d: %d cells but %d belief entries"
                     % (i, len(self.partitions[i]), len(self.beliefs[i])))
-        index = {}
+        cells = {}
         for i in self.agents:
+            index = cells[i] = {}
             for ci, cell in enumerate(self.partitions[i]):
                 for s in cell:
-                    index.setdefault((i, s), ci)
-        object.__setattr__(self, "_cell_index", index)
+                    index.setdefault(s, ci)
+        object.__setattr__(self, "_cells", cells)
 
     def check_agents(self, *agents) -> None:
         """Raise ``UnknownAgent`` for the first agent outside 1..n_agents."""
@@ -182,18 +183,27 @@ class Structure(fm.Frozen):
                 raise UnknownAgent("agent %d not in 1..%d"
                                    % (i, self.n_agents))
 
+    def cell_indices(self, agent: int) -> dict:
+        """Agent's index of its partition: each state to the position of
+        its cell (the first, if cells overlap).  The dict is the
+        structure's own, built once with it; callers only read it."""
+        self.check_agents(agent)
+        return self._cells[agent]
+
     def cell_index(self, agent: int, state: str) -> int:
         try:
-            return self._cell_index[(agent, state)]
+            return self._cells[agent][state]
         except KeyError:
             raise UnknownState("state %r not in any cell of agent %d"
                                % (state, agent))
 
     def cell_of(self, agent: int, state: str) -> frozenset:
-        return self.partitions[agent][self.cell_index(agent, state)]
+        ci = self.cell_index(agent, state)  # first: it names a bad agent
+        return self.partitions[agent][ci]
 
     def cell_beliefs(self, agent: int, state: str) -> CellBeliefs:
-        return self.beliefs[agent][self.cell_index(agent, state)]
+        ci = self.cell_index(agent, state)
+        return self.beliefs[agent][ci]
 
     def prior_mass(self, agent: int, event) -> Fraction:
         if self.priors is None:
@@ -540,6 +550,7 @@ def is_common_interpretation(m: Structure) -> bool:
 # parses any other string, with the same value and the same errors.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _DIGITS = re.compile(r"\d+")  # as Fraction's parser reads them
+_ECHOED = 40  # characters of a refused rational string shown in its error
 
 
 def _rational(value, where: str) -> Fraction:
@@ -563,12 +574,17 @@ def _rational(value, where: str) -> Fraction:
 def _refusal(text: str) -> str:
     """Why the rational string ``text`` is refused.  Python's ``int`` reads
     no run of more digits than its limit (``sys.set_int_max_str_digits``);
-    such a run is named by its length, not echoed."""
+    such a run is named by its length, not echoed.  Any other string is
+    echoed up to ``_ECHOED`` characters, and a longer one is cut there
+    and given its length."""
     digits = max(map(len, _DIGITS.findall(text)), default=0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit < digits:
         return "rational of %d digits exceeds the %d-digit limit" % (
             digits, limit)
+    if len(text) > _ECHOED:
+        return "bad rational %r (%d characters)" % (
+            text[:_ECHOED] + "...", len(text))
     return "bad rational %r" % text
 
 

@@ -160,6 +160,54 @@ def test_too_deep_formula_exits_2(argv, red_path, capsys):
     assert "nest" in capsys.readouterr().err
 
 
+def _long_mass(data):
+    data["beliefs"]["2"][0]["measure"]["w1"] = "x" * 100000
+
+
+@pytest.mark.parametrize("argv, edit", [
+    (["eval", "--formula", "Pr2(p) >= " + "5" * 5000, "--state", "w1",
+      "--agent", "1", "--mode", "ou"], None),
+    (["validate"], _long_mass),
+], ids=["long-number", "long-rational"])
+def test_long_input_is_refused_in_one_short_line(argv, edit, red_path,
+                                                 tmp_path, capsys):
+    if edit is not None:
+        with open(red_path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        red_path = tmp_path / "edited.json"
+        red_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(argv + ["--model", str(red_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
+_RED = str(MODELS / "m_red.json")
+
+
+# Each call declares only its command's arguments; what it prints and
+# its exit status are those of the parser that declares every command.
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], [], ["bogus"], ["-x", "eval"],
+    *[[name, "--help"] for name in cli._COMMANDS],
+    ["eval"],
+    ["validate", "--model", _RED, "--bogus"],
+    ["eval", "--model", _RED, "--formula", "p", "--state", "w1",
+     "--agent", "1", "--mode", "bogus"],
+    ["translate", "--formula", "p", "--agent", "1", "--mode", "bogus"],
+    ["transform", "bogus", "--model", _RED],
+    ["check", "--trials", "many"],
+], ids=lambda argv: " ".join(argv).replace(_RED, "m_red.json") or "none")
+def test_each_call_parses_as_the_full_parser_does(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser([]).parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr()) == (full.value.code,
+                                                     expected)
+
+
 def test_validate_non_string_signal_exits_2(tmp_path, capsys):
     with open(AI_MODEL, encoding="utf-8") as fh:
         data = json.load(fh)

@@ -96,6 +96,20 @@ def test_parse_rejects_nonpositive_agents():
     assert str(err.value) == "agent index must be positive: 0"
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("Pr2(p) >= " + "5" * 5000, 10), ("Pr1(p) >= 1/" + "5" * 5000, 12),
+    ("B" + "1" * 5000 + " p", 1), ("Pr" + "1" * 5000 + "(p) >= 1", 2),
+    ("p@" + "2" * 5000, 2), ("E{1}^" + "3" * 5000 + " p", 5),
+])
+def test_parse_names_a_number_longer_than_int_reads(text, offset):
+    # Python's int reads at most 4,300 digits by default.
+    with pytest.raises(FormulaSyntaxError) as err:
+        fm.parse(text)
+    assert str(err.value) == (
+        "syntax error at offset %d: expected a number of at most 4300 "
+        "digits, found '5000 digits'" % offset)
+
+
 def test_print_examples():
     assert fm.print_formula(fm.Prop("p")) == "p"
     assert fm.print_formula(fm.B(1, fm.Prop("p"))) == "B1 p"

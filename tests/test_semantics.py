@@ -30,6 +30,7 @@ from ambilogic.structure import (
     CellBeliefs,
     Structure,
     singleton_cell,
+    structure_from_dict,
     validate_core,
 )
 from ambilogic.transforms import fix_interpretation
@@ -487,6 +488,44 @@ def test_cb_matches_eb_chain_in_all_modes():
                     trial, mode, fm.print_formula(f), outer)
                 compared[mode] += 1
     assert min(compared.values()) >= 120, (compared, undefined)
+
+
+def _zero_mass_at_w2():
+    """Agent 1's cell {w1, w2} gives w2 mass 0, and so does agent 1's
+    prior; agent 2's cell {w2, w3} gives p = {w1, w3} probability 1/2.
+    Everyone reads p, and the signals a = {w1, w2} and b = {w1}, alike."""
+    whole = {"p": ["w1", "w3"], "a": ["w1", "w2"], "b": ["w1"]}
+    return structure_from_dict({
+        "agents": 2, "states": ["w1", "w2", "w3"], "props": ["p", "a", "b"],
+        "partitions": {"1": [["w1", "w2"], ["w3"]],
+                       "2": [["w1"], ["w2", "w3"]]},
+        "beliefs": {"1": [{"measure": {"w1": "1", "w2": "0"}},
+                          {"measure": {"w3": "1"}}],
+                    "2": [{"measure": {"w1": "1"}},
+                          {"measure": {"w2": "1/2", "w3": "1/2"}}]},
+        "interpretations": {"1": whole, "2": whole},
+        "priors": {"1": {"w1": "1/2", "w2": "0", "w3": "1/2"},
+                   "2": {"w1": "1/3", "w2": "1/3", "w3": "1/3"}},
+        "signals": {"1": {"w1": "a", "w2": "a", "w3": "!a"},
+                    "2": {"w1": "b", "w2": "!b", "w3": "!b"}},
+    })
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_cb_failure_outside_a_support_fails_no_space(mode):
+    # Common belief in p fails at w2 and w3, where agent 2 does not
+    # believe p.  w2 lies in agent 1's cell (and conditioning event) of
+    # w1 but outside its support, so w1 reaches only itself and keeps it.
+    from oracle import eval_brute
+    m = _zero_mass_at_w2()
+    ev = Evaluator(m)
+    p = fm.Prop("p")
+    for outer in m.agents:
+        got = ev.common_belief_set({1, 2}, p, mode, outer)
+        assert got == frozenset({"w1"})
+        assert got == _chain_fixpoint(ev, {1, 2}, p, mode, outer)
+        assert got == {s for s in m.states
+                       if eval_brute(m, s, outer, fm.CB({1, 2}, p), mode)}
 
 
 def _undefined_for_agent_2():

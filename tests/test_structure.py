@@ -19,6 +19,7 @@ from ambilogic.errors import (
     UndefinedConditional,
     UnknownAgent,
     UnknownProp,
+    UnknownState,
 )
 from ambilogic.generators import GenBounds, random_signal_structure
 from ambilogic.modes import EvalMode
@@ -369,6 +370,16 @@ def test_loader_rejects_non_string_signals(signal):
         loads_structure(json.dumps(blob))
 
 
+def test_loader_names_a_signal_number_longer_than_int_reads():
+    blob = structure_to_dict(m_ai())
+    blob["signals"]["1"]["a"] = "7" * 5000
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure(json.dumps(blob))
+    assert str(exc.value) == (
+        "signals[1][a]: syntax error at offset 0: expected a number of at "
+        "most 4300 digits, found '5000 digits'")
+
+
 def test_loader_rejects_bad_json_and_unknown_names():
     with pytest.raises(ModelFormatError):
         loads_structure("{not json")
@@ -390,6 +401,25 @@ def test_structure_requires_aligned_cells():
     m = m_red()
     with pytest.raises(ModelFormatError):
         m.replace(beliefs={1: m.beliefs[1], 2: ()})
+
+
+@pytest.mark.parametrize("method", ["cell_index", "cell_of", "cell_beliefs"])
+@pytest.mark.parametrize("agent, state", [(1, "w9"), (3, "w1"), (0, "w1")])
+def test_cell_lookups_refuse_an_unknown_state_or_agent(method, agent, state):
+    with pytest.raises(UnknownState) as exc:
+        getattr(m_red(), method)(agent, state)
+    assert str(exc.value) == ("state %r not in any cell of agent %d"
+                              % (state, agent))
+
+
+def test_cell_indices_map_each_state_to_its_cell():
+    m = m_ai()
+    for i in m.agents:
+        index = m.cell_indices(i)
+        assert index == {s: m.cell_index(i, s) for s in m.states}
+        assert all(s in m.partitions[i][ci] for s, ci in index.items())
+    with pytest.raises(UnknownAgent):
+        m.cell_indices(3)
 
 
 # --- Rationals: the forms the writer uses are read with int, any other
@@ -420,6 +450,9 @@ def test_loader_reads_rationals(raw, value):
     ("", "bad rational ''"),
     ("1//2", "bad rational '1//2'"),
     ("7" * 5000, "rational of 5000 digits exceeds the 4300-digit limit"),
+    # Up to 40 characters of any other refused string are echoed.
+    ("x" * 40, "bad rational '%s'" % ("x" * 40)),
+    ("x" * 100000, "bad rational '%s...' (100000 characters)" % ("x" * 40)),
     (True, 'floating point or boolean rejected, use "num/den" strings'),
     (False, 'floating point or boolean rejected, use "num/den" strings'),
     (None, "bad rational None"),
