@@ -199,18 +199,25 @@ def _check_prop1(rng, bounds, _hook):
 
 def _modes_agree(m: Structure, corpus, modes) -> tuple:
     """Whether every query of the corpus gets one answer in all ``modes``,
-    and the first counterexample if not."""
+    and the first counterexample, in (formula, state, agent) order, if not.
+    Each (formula, agent) asks one extension per mode, at the first state;
+    later states are walked only if some agent's extensions differ."""
     ev = Evaluator(m)
     for f in corpus:
+        exts = {}
         for s in m.states:
             for i in m.agents:
-                values = {mode.value: ev.evaluate(s, i, f, mode)
-                          for mode in modes}
+                if i not in exts:
+                    exts[i] = [ev.extension(i, f, mode) for mode in modes]
+                values = {mode.value: s in ext
+                          for mode, ext in zip(modes, exts[i])}
                 if len(set(values.values())) != 1:
                     return False, _counterexample(m, None, {
                         "query": {"state": s, "agent": i,
                                   "formula": fm.print_formula(f)},
                         "values": values})
+            if all(len(set(got)) == 1 for got in exts.values()):
+                break
     return True, None
 
 

@@ -29,6 +29,7 @@ from .errors import (
     UnknownAgent,
     UnknownProp,
     UnknownState,
+    shown,
 )
 from .generators import GenBounds
 from .modes import EvalMode
@@ -49,6 +50,19 @@ _USAGE_ERRORS = (ModelFormatError, FormulaSyntaxError, FormulaTooDeep,
                  UndefinedConditional, NotMeasurable)
 _FAILURE_ERRORS = (NotCommonInterpretation, CoreInvalid, AlreadyIndexed,
                    ModePrereqMissing, MissingSignals)
+
+
+def _one_of(*values) -> dict:
+    """Arguments for ``add_argument`` that accept only ``values``.  It is
+    argparse's choice check with the same usage and messages, but a
+    refused value is echoed by ``shown``, not whole."""
+    def read(text):
+        if text not in values:
+            raise argparse.ArgumentTypeError(
+                "invalid choice: %s (choose from %s)"
+                % (shown(text), ", ".join(map(repr, values))))
+        return text
+    return {"type": read, "metavar": "{%s}" % ",".join(values)}
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
@@ -76,7 +90,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--state", required=True)
         p.add_argument("--agent", required=True, type=int)
         p.add_argument("--mode", required=True,
-                       choices=[m.value for m in EvalMode])
+                       **_one_of(*[m.value for m in EvalMode]))
         p.add_argument("--show-value", action="store_true",
                        help="also print the exact left-hand side of the "
                             "formula's leading probability comparison")
@@ -100,7 +114,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
                            help="compile a formula into the indexed language")
         p.add_argument("--formula", required=True)
         p.add_argument("--agent", required=True, type=int)
-        p.add_argument("--mode", required=True, choices=["in", "ou"])
+        p.add_argument("--mode", required=True, **_one_of("in", "ou"))
 
     if named in (None, "check"):
         p = sub.add_parser("check",

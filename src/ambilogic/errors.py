@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``shown``, which every
+message that echoes an input value uses."""
+
+# Characters of an echoed value shown in a message.
+ECHOED = 40
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message, bounded: a string over ``ECHOED``
+    characters is cut there, and any other value whose repr is over
+    ``ECHOED`` characters has its repr cut there; either way the full
+    length follows."""
+    if isinstance(value, str):
+        if len(value) <= ECHOED:
+            return repr(value)
+        return "%r (%d characters)" % (value[:ECHOED] + "...", len(value))
+    text = repr(value)
+    if len(text) <= ECHOED:
+        return text
+    return "%s... (%d characters)" % (text[:ECHOED], len(text))
 
 
 class AmbilogicError(Exception):
@@ -17,8 +36,8 @@ class FormulaSyntaxError(AmbilogicError):
         self.expected = frozenset(expected)
         self.found = found
         super().__init__(
-            "syntax error at offset %d: expected %s, found %r"
-            % (offset, " or ".join(sorted(self.expected)), found)
+            "syntax error at offset %d: expected %s, found %s"
+            % (offset, " or ".join(sorted(self.expected)), shown(found))
         )
 
 

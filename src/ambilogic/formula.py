@@ -17,15 +17,17 @@ removes all abbreviations; ``parse`` and ``print_formula`` convert between
 text and ASTs and are mutually inverse on ASTs.
 
 The nodes are plain slotted classes on the ``Frozen`` base, which the
-package's other value classes share: immutable, hashed by value, and
-with no code generated when a class is defined.  Nodes are interned:
-``__new__`` returns the live node with the same fields if there is one,
-so equal formulas are one object, and ``==`` is ``is``.  Formulas are
-compiled once, on the nodes: a node computes its hash and its plan,
-``facts``, from its children's when it is built, and keeps its expansion
-once asked.  Every ``Evaluator`` shares them, and a DAG costs one step
-per distinct node.  The parser, printer and ``expand`` recurse and
-refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
+package's other value classes share: immutable, and with no code
+generated when a class is defined.  Nodes are interned: ``__new__``
+returns the live node with the same fields if there is one, so equal
+formulas are one object, ``==`` is ``is``, and a node hashes by
+identity.  The intern key holds a coefficient or bound as its numerator
+and denominator, so no ``Fraction`` is hashed.  Formulas are compiled
+once, on the nodes: a node computes its plan, ``facts``, from its
+children's when it is built, by the rule of its class, and keeps its
+expansion once asked.  Every ``Evaluator`` shares them, and a DAG costs
+one step per distinct node.  The parser, printer and ``expand`` recurse
+and refuse formulas nested over ``MAX_DEPTH`` (``FormulaTooDeep``).
 """
 
 from __future__ import annotations
@@ -99,34 +101,34 @@ class _Node(Frozen):
     """Base of the formula nodes.  A node class's ``__new__`` checks and
     normalises its fields and gets the interned node from ``_node``.
     Non-core nodes keep their expansions in ``_expansions``.  Children are
-    built first, so nothing recurses however deep a formula nests."""
+    built first, so nothing recurses however deep a formula nests.  Equal
+    nodes are one object, so a node compares and hashes by identity."""
 
-    __slots__ = ("_hash", "_facts", "_expansions", "__weakref__")
+    __slots__ = ("_facts", "_expansions", "__weakref__")
 
     __eq__ = object.__eq__
-
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
 
-# The live nodes by (class, field values), each held by a weak reference,
+# The live nodes by intern key (``_node``), each held by a weak reference,
 # so that a node nothing else holds is freed: a campaign builds fresh
 # formulas on every trial.  A reference's callback, ``_nodes.pop`` of its
 # key, runs in C when the node is freed and removes the entry.
 _nodes = {}
 
 
-def _node(cls, *values):
-    """The node of class ``cls`` with these field values, whose nodes are
-    interned already: the live one, or a new one, hashed by the values and,
-    but for a ``ProbTerm``, planned (``_node_facts``)."""
-    key = (cls, values)
+def _node(key, *values):
+    """The node with intern key ``key`` and these field values: the live
+    one, or a new one, planned (``_node_facts``) unless it is a
+    ``ProbTerm``.  The key is the class followed by values that fix the
+    fields, nodes among them: the fields themselves, but a coefficient or
+    bound as its numerator and denominator, which hash in C."""
     ref = _nodes.get(key)
     node = None if ref is None else ref()
     if node is None:
+        cls = key[0]
         node = object.__new__(cls)
         node._init(*values)
-        _set(node, "_hash", hash(values))
         if cls is not ProbTerm:
             _set(node, "_facts", _node_facts(node))
         _nodes[key] = weakref.ref(node, partial(_nodes.pop, key))
@@ -157,6 +159,11 @@ def _number(digits: str, offset: int) -> int:
             "%d digits" % len(digits))
 
 
+def _rational(value) -> Fraction:
+    """``value`` if it is a ``Fraction``, else ``Fraction(value)``."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _group(group, what: str) -> frozenset:
     group = frozenset(int(i) for i in group)
     if not group:
@@ -169,28 +176,29 @@ class Prop(_Node):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
-        return _node(cls, name)
+        return _node((cls, name), name)
 
 
 class IndexedProp(_Node):
     __slots__ = _fields = ("name", "agent")
 
     def __new__(cls, name: str, agent: int):
-        return _node(cls, name, _positive(agent))
+        agent = _positive(agent)
+        return _node((cls, name, agent), name, agent)
 
 
 class Not(_Node):
     __slots__ = _fields = ("arg",)
 
     def __new__(cls, arg: "SurfaceFormula"):
-        return _node(cls, arg)
+        return _node((cls, arg), arg)
 
 
 class _Binary(_Node):
     __slots__ = _fields = ("left", "right")
 
     def __new__(cls, left: "SurfaceFormula", right: "SurfaceFormula"):
-        return _node(cls, left, right)
+        return _node((cls, left, right), left, right)
 
 
 class And(_Binary):
@@ -203,7 +211,10 @@ class ProbTerm(_Node):
     __slots__ = _fields = ("coeff", "agent", "arg")
 
     def __new__(cls, coeff: Fraction, agent: int, arg: "SurfaceFormula"):
-        return _node(cls, Fraction(coeff), _positive(agent), arg)
+        coeff = _rational(coeff)
+        agent = _positive(agent)
+        return _node((cls, coeff.numerator, coeff.denominator, agent, arg),
+                     coeff, agent, arg)
 
 
 class ProbGe(_Node):
@@ -219,7 +230,9 @@ class ProbGe(_Node):
         if len({t.agent for t in terms}) != 1:
             raise ValueError("all terms of one probability comparison must "
                              "name the same agent")
-        return _node(cls, terms, Fraction(bound))
+        bound = _rational(bound)
+        return _node((cls, terms, bound.numerator, bound.denominator),
+                     terms, bound)
 
     @property
     def agent(self) -> int:
@@ -232,7 +245,8 @@ class CB(_Node):
     __slots__ = _fields = ("group", "arg")
 
     def __new__(cls, group: frozenset, arg: "SurfaceFormula"):
-        return _node(cls, _group(group, "common-belief"), arg)
+        group = _group(group, "common-belief")
+        return _node((cls, group, arg), group, arg)
 
 
 # Surface abbreviations.
@@ -253,14 +267,14 @@ class TrueF(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _node(cls)
+        return _node((cls,))
 
 
 class FalseF(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _node(cls)
+        return _node((cls,))
 
 
 class B(_Node):
@@ -269,7 +283,8 @@ class B(_Node):
     __slots__ = _fields = ("agent", "arg")
 
     def __new__(cls, agent: int, arg: "SurfaceFormula"):
-        return _node(cls, _positive(agent), arg)
+        agent = _positive(agent)
+        return _node((cls, agent, arg), agent, arg)
 
 
 class EB(_Node):
@@ -281,13 +296,11 @@ class EB(_Node):
         group = _group(group, "group-belief")
         if power < 1:
             raise ValueError("group-belief power must be >= 1")
-        return _node(cls, group, power, arg)
+        return _node((cls, group, power, arg), group, power, arg)
 
 
 Formula = Union[Prop, IndexedProp, Not, And, ProbGe, CB]
 SurfaceFormula = Union[Formula, Or, Implies, Iff, TrueF, FalseF, B, EB]
-
-_CORE_TYPES = (Prop, IndexedProp, Not, And, ProbGe, CB)
 
 # The binary operators, for the parser and the printer: symbol, binding
 # strength (higher binds tighter) and whether the operator associates right.
@@ -296,13 +309,30 @@ _BINARY = {Iff: ("<->", 1, False), Implies: ("->", 2, True),
 
 
 def _children(f):
-    if isinstance(f, (Not, B, EB, CB)):
-        return (f.arg,)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, ProbGe):
-        return tuple(t.arg for t in f.terms)
+    return _KIDS[type(f)](f)
+
+
+def _no_kids(f):
     return ()
+
+
+def _arg(f):
+    return (f.arg,)
+
+
+def _sides(f):
+    return (f.left, f.right)
+
+
+def _term_args(f):
+    return tuple(t.arg for t in f.terms)
+
+
+# Each node class's children, in evaluation order.
+_KIDS = {Prop: _no_kids, IndexedProp: _no_kids, TrueF: _no_kids,
+         FalseF: _no_kids, ProbTerm: _no_kids, Not: _arg, B: _arg, EB: _arg,
+         CB: _arg, And: _sides, Or: _sides, Implies: _sides, Iff: _sides,
+         ProbGe: _term_args}
 
 
 # --- Parser ---
@@ -654,21 +684,11 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a if a >= b else b if b >= a else a | b
 
 
-def _node_facts(g) -> Facts:
-    """Facts of node ``g`` from the facts of its children."""
-    agents = props = frozenset()
-    indexed, depth, core = False, 0, isinstance(g, _CORE_TYPES)
-    if isinstance(g, Prop):
-        props = frozenset((g.name,))
-    elif isinstance(g, IndexedProp):
-        agents = frozenset((g.agent,))
-        props = frozenset(("%s@%d" % (g.name, g.agent),))
-        indexed = True
-    elif isinstance(g, (ProbGe, B)):
-        agents = frozenset((g.agent,))
-    elif isinstance(g, (CB, EB)):
-        agents = g.group
-    for kid in _children(g):
+def _joined(agents: frozenset, kids, core: bool) -> Facts:
+    """Facts of a node that names ``agents`` itself, has children ``kids``,
+    and is core if ``core`` and every child is core."""
+    props, indexed, depth = _NONE, False, 0
+    for kid in kids:
         k_agents, k_props, k_indexed, k_depth, k_core = kid._facts
         agents = _union(agents, k_agents)
         props = _union(props, k_props)
@@ -676,6 +696,35 @@ def _node_facts(g) -> Facts:
         depth = max(depth, k_depth)
         core = core and k_core
     return Facts(agents, props, indexed, depth + 1, core)
+
+
+_NONE = frozenset()
+_CONSTANT = Facts(_NONE, _NONE, False, 1, False)
+
+# Each node class's rule for its facts, from its children's.
+_FACTS = {
+    Prop: lambda g: Facts(_NONE, frozenset((g.name,)), False, 1, True),
+    IndexedProp: lambda g: Facts(frozenset((g.agent,)), frozenset(
+        ("%s@%d" % (g.name, g.agent),)), True, 1, True),
+    TrueF: lambda g: _CONSTANT,
+    FalseF: lambda g: _CONSTANT,
+    Not: lambda g: _joined(_NONE, (g.arg,), True),
+    And: lambda g: _joined(_NONE, (g.left, g.right), True),
+    Or: lambda g: _joined(_NONE, (g.left, g.right), False),
+    Implies: lambda g: _joined(_NONE, (g.left, g.right), False),
+    Iff: lambda g: _joined(_NONE, (g.left, g.right), False),
+    ProbGe: lambda g: _joined(frozenset((g.agent,)),
+                              [t.arg for t in g.terms], True),
+    CB: lambda g: _joined(g.group, (g.arg,), True),
+    B: lambda g: _joined(frozenset((g.agent,)), (g.arg,), False),
+    EB: lambda g: _joined(g.group, (g.arg,), False),
+}
+
+
+def _node_facts(g) -> Facts:
+    """Facts of node ``g`` from the facts of its children, by the rule of
+    its class."""
+    return _FACTS[type(g)](g)
 
 
 def facts(f: SurfaceFormula) -> Facts:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .errors import shown
+
 
 class EvalMode(Enum):
     """The five truth relations.
@@ -32,8 +34,8 @@ class EvalMode(Enum):
         for mode in cls:
             if mode.value == text:
                 return mode
-        raise ValueError("unknown mode %r (use one of %s)"
-                         % (text, ", ".join(m.value for m in cls)))
+        raise ValueError("unknown mode %s (use one of %s)"
+                         % (shown(text), ", ".join(m.value for m in cls)))
 
     def __init__(self, value):
         # Plain attributes, not properties: the evaluator reads them on

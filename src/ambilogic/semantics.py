@@ -56,6 +56,7 @@ from .errors import (
     UnknownAgent,
     UnknownProp,
     UnknownState,
+    shown,
 )
 from .modes import EvalMode
 from .reporting import Report
@@ -142,8 +143,8 @@ class Evaluator:
                                "1..%d" % (min(facts.agents - self._agents),
                                           self.m.n_agents))
         if not facts.props <= self._props:
-            raise UnknownProp("proposition %r not declared"
-                              % min(facts.props - self._props))
+            raise UnknownProp("proposition %s not declared"
+                              % shown(min(facts.props - self._props)))
         if facts.indexed and mode is not EvalMode.COMMON:
             raise ModePrereqMissing(
                 "indexed propositions only evaluate in common mode")
@@ -152,7 +153,7 @@ class Evaluator:
 
     def evaluate(self, state: str, agent: int, f, mode: EvalMode) -> bool:
         if state not in self._universe:
-            raise UnknownState("state %r not declared" % state)
+            raise UnknownState("state %s not declared" % shown(state))
         return state in self.extension(agent, f, mode)
 
     def extension(self, agent: int, f, mode: EvalMode) -> frozenset:
@@ -172,7 +173,7 @@ class Evaluator:
         ``state`` according to ``agent``: the value that ``extension``
         compares with the bound.  ``f`` must expand to a ``ProbGe``."""
         if state not in self._universe:
-            raise UnknownState("state %r not declared" % state)
+            raise UnknownState("state %s not declared" % shown(state))
         core = self._prepare(f, mode, agent)
         if not isinstance(core, fm.ProbGe):
             raise ValueError("not a probability comparison: %s"

@@ -34,6 +34,7 @@ from .errors import (
     NotMeasurable,
     UnknownAgent,
     UnknownState,
+    shown,
 )
 from .modes import EvalMode
 from .reporting import Report
@@ -151,7 +152,8 @@ class Structure(fm.Frozen):
             raise ModelFormatError("propositions must be nonempty and unique")
         for name in self.props:
             if not _NAME.match(name) or _RESERVED_NAME.match(name):
-                raise ModelFormatError("unusable proposition name: %r" % name)
+                raise ModelFormatError("unusable proposition name: %s"
+                                       % shown(name))
         # Plain attributes rather than properties: they are read per query.
         object.__setattr__(self, "agents", range(1, self.n_agents + 1))
         object.__setattr__(self, "universe", frozenset(self.states))
@@ -194,8 +196,8 @@ class Structure(fm.Frozen):
         try:
             return self._cells[agent][state]
         except KeyError:
-            raise UnknownState("state %r not in any cell of agent %d"
-                               % (state, agent))
+            raise UnknownState("state %s not in any cell of agent %d"
+                               % (shown(state), agent))
 
     def cell_of(self, agent: int, state: str) -> frozenset:
         ci = self.cell_index(agent, state)  # first: it names a bad agent
@@ -522,7 +524,7 @@ def reachable(m: Structure, group, state: str) -> frozenset:
         raise ValueError("group must be nonempty")
     m.check_agents(*group)
     if state not in m.universe:
-        raise UnknownState("state %r not declared" % state)
+        raise UnknownState("state %s not declared" % shown(state))
     seen = {state}
     frontier = [state]
     while frontier:
@@ -550,7 +552,6 @@ def is_common_interpretation(m: Structure) -> bool:
 # parses any other string, with the same value and the same errors.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _DIGITS = re.compile(r"\d+")  # as Fraction's parser reads them
-_ECHOED = 40  # characters of a refused rational string shown in its error
 
 
 def _rational(value, where: str) -> Fraction:
@@ -568,24 +569,20 @@ def _rational(value, where: str) -> Fraction:
                                "use \"num/den\" strings" % where)
     if isinstance(value, int):
         return Fraction(value)
-    raise ModelFormatError("%s: bad rational %r" % (where, value))
+    raise ModelFormatError("%s: bad rational %s" % (where, shown(value)))
 
 
 def _refusal(text: str) -> str:
     """Why the rational string ``text`` is refused.  Python's ``int`` reads
     no run of more digits than its limit (``sys.set_int_max_str_digits``);
     such a run is named by its length, not echoed.  Any other string is
-    echoed up to ``_ECHOED`` characters, and a longer one is cut there
-    and given its length."""
+    echoed by ``shown``."""
     digits = max(map(len, _DIGITS.findall(text)), default=0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit < digits:
         return "rational of %d digits exceeds the %d-digit limit" % (
             digits, limit)
-    if len(text) > _ECHOED:
-        return "bad rational %r (%d characters)" % (
-            text[:_ECHOED] + "...", len(text))
-    return "bad rational %r" % text
+    return "bad rational %s" % shown(text)
 
 
 def _expect(value, kind, where: str):
@@ -606,7 +603,7 @@ def _unique_keys(pairs) -> dict:
     if len(out) < len(pairs):
         for k, _ in pairs:  # a name already taken out is a repeat
             if k not in out:
-                raise ModelFormatError("duplicate key %r" % k)
+                raise ModelFormatError("duplicate key %s" % shown(k))
             del out[k]
     return out
 
@@ -637,7 +634,7 @@ def structure_from_dict(data: dict) -> Structure:
         # In file order, the same error in every process; the walk runs in
         # C, and its body only for an unknown state.
         for s in filterfalse(state_set.__contains__, names):
-            raise ModelFormatError("%s: unknown state %r" % (where, s))
+            raise ModelFormatError("%s: unknown state %s" % (where, shown(s)))
         return out
 
     def per_agent(key, kind, read, required=True):
@@ -652,7 +649,8 @@ def structure_from_dict(data: dict) -> Structure:
             except (TypeError, ValueError):
                 i = 0
             if str(i) != k or not 0 < i <= n:
-                raise ModelFormatError("%s: bad agent key %r" % (key, k))
+                raise ModelFormatError("%s: bad agent key %s"
+                                       % (key, shown(k)))
             named.append((i, "%s[%s]" % (key, k), v))
         return {i: read(i, _expect(v, kind, where), where)
                 for i, where, v in named}
@@ -670,8 +668,8 @@ def structure_from_dict(data: dict) -> Structure:
 
     def signal(text, where):
         if not isinstance(text, str):
-            raise ModelFormatError("%s: expected formula text, got %r"
-                                   % (where, text))
+            raise ModelFormatError("%s: expected formula text, got %s"
+                                   % (where, shown(text)))
         try:
             return fm.parse(text)
         except (FormulaSyntaxError, FormulaTooDeep) as exc:
@@ -686,7 +684,8 @@ def structure_from_dict(data: dict) -> Structure:
             out = {}
             for k, v in values.items():
                 if of_states and k not in state_set:
-                    raise ModelFormatError("%s: unknown state %r" % (where, k))
+                    raise ModelFormatError("%s: unknown state %s"
+                                           % (where, shown(k)))
                 got = memo.get(v) if isinstance(v, str) else None
                 if got is None:
                     got = miss(memo, read, v, "%s[%s]" % (where, k))
@@ -742,7 +741,8 @@ def structure_from_dict(data: dict) -> Structure:
         for p in named:  # in file order, after the props block is checked
             if p not in declared:
                 raise ModelFormatError(
-                    "interpretations[%d]: unknown proposition %r" % (i, p))
+                    "interpretations[%d]: unknown proposition %s"
+                    % (i, shown(p)))
     return Structure(n, states, props, partitions, beliefs, interpretations,
                      priors, signals)
 

@@ -1,15 +1,17 @@
 """Independent brute-force evaluator used to re-derive expected values.
 
-Direct clause-by-clause recursion: no memoization, no reachability pass,
-and no evaluation code from the package (signals are read by ``_ev`` too).
+Direct clause-by-clause recursion: no reachability pass, and no
+evaluation code from the package (signals are read by ``_ev`` too).  The
+only memo is the level sets of one belief query (``_level``).
 The surface abbreviations have clauses of their own, by their meaning,
 so ``formula.expand`` is not used: ``true``/``false`` are the constants,
 ``|``, ``->`` and ``<->`` the boolean connectives, ``Bj f`` is "j gives f
 probability one" and ``E{G}^k f`` the k-fold "everybody in G believes".
 Common belief is checked as the conjunction of the iterated "everybody
 believes" up to the saturation bound |states| * |group| + 1, each level
-computed by literally unfolding the belief operator.  Exponential, so only
-for very small structures.
+computed by literally unfolding the belief operator, once per reader for
+one top-level query.  Exponential in the nesting, so only for very small
+structures.
 """
 
 from fractions import Fraction
@@ -63,14 +65,15 @@ def _ev(m, state, agent, f, mode):
         return (_ev(m, state, agent, f.left, mode)
                 == _ev(m, state, agent, f.right, mode))
     if isinstance(f, fm.B):
-        return _eb(m, state, agent, {f.agent}, f.arg, 1, mode)
+        return _eb(m, state, agent, {f.agent}, f.arg, 1, mode, {})
     if isinstance(f, fm.EB):
-        return _eb(m, state, agent, f.group, f.arg, f.power, mode)
+        return _eb(m, state, agent, f.group, f.arg, f.power, mode, {})
     if isinstance(f, fm.ProbGe):
         return prob_value_brute(m, state, agent, f, mode) >= f.bound
     if isinstance(f, fm.CB):
         bound = len(m.states) * len(f.group) + 1
-        return all(_eb(m, state, agent, f.group, f.arg, k, mode)
+        levels = {}
+        return all(_eb(m, state, agent, f.group, f.arg, k, mode, levels)
                    for k in range(1, bound + 1))
     raise TypeError("not a formula: %r" % (f,))
 
@@ -87,15 +90,25 @@ def prob_value_brute(m, state, agent, f, mode):
     return value
 
 
-def _eb(m, state, agent, group, arg, k, mode):
+def _eb(m, state, agent, group, arg, k, mode, levels):
+    """Whether the k-fold "everybody in ``group`` believes ``arg``" holds at
+    ``state`` as ``agent`` reads it; ``levels`` is the query's memo."""
     for j in sorted(group):
-        reader = _reader(mode, agent, j)
-        if k == 1:
-            ext = frozenset(s for s in m.states
-                            if _ev(m, s, reader, arg, mode))
-        else:
-            ext = frozenset(s for s in m.states
-                            if _eb(m, s, reader, group, arg, k - 1, mode))
+        ext = _level(m, _reader(mode, agent, j), group, arg, k - 1, mode,
+                     levels)
         if _prob_of(m, mode, agent, j, state, ext) != 1:
             return False
     return True
+
+
+def _level(m, reader, group, arg, k, mode, levels):
+    """The states where level k holds as ``reader`` reads it (level 0 is
+    ``arg``), kept in ``levels`` per (reader, k) for one top-level query,
+    so that each level is computed once."""
+    key = (reader, k)
+    if key not in levels:
+        levels[key] = frozenset(
+            s for s in m.states
+            if (_ev(m, s, reader, arg, mode) if k == 0
+                else _eb(m, s, reader, group, arg, k, mode, levels)))
+    return levels[key]

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from ambilogic import cli, semantics
+from ambilogic import formula as fm
 from ambilogic.cli import main
 from ambilogic.modes import EvalMode
 from ambilogic.structure import (dump_structure, load_structure,
-                                 loads_structure, validate_core)
+                                 loads_structure, reachable, validate_core)
 
 from demo_models import MODELS, m_sig
 
@@ -541,3 +542,139 @@ def test_check_zero_trials_usage_error(capsys):
 
 def test_check_unknown_check_usage_error(capsys):
     assert main(["check", "--checks", "bogus"]) == 2
+
+
+# --- Every message that echoes an input value bounds it (errors.shown) ---
+
+def _edited(name, edit, text_edit=None):
+    """Runner of ``validate`` on demos/models/<name> changed by ``edit``
+    (of the JSON data) or ``text_edit`` (of the file text)."""
+    def run(value, tmp_path, capsys):
+        with open(MODELS / name, encoding="utf-8") as fh:
+            text = fh.read()
+        if text_edit is not None:
+            text = text_edit(text, value)
+        else:
+            data = json.loads(text)
+            edit(data, value)
+            text = json.dumps(data)
+        path = tmp_path / "edited.json"
+        path.write_text(text, encoding="utf-8")
+        return _cli(["validate", "--model", str(path)])(value, tmp_path,
+                                                          capsys)
+    return run
+
+
+def _cli(argv):
+    """Runner of the command line ``argv``, "{}" standing for the value."""
+    def run(value, tmp_path, capsys):
+        try:
+            code = main([a.replace("{}", value) for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return code, capsys.readouterr().err
+    return run
+
+
+def _api(call):
+    """Runner of ``call(value)``: the exit code and stderr line that
+    ``main`` gives for the error it raises."""
+    def run(value, tmp_path, capsys):
+        with pytest.raises(cli._USAGE_ERRORS) as exc:
+            call(value)
+        return 2, "error: %s\n" % exc.value
+    return run
+
+
+def _eval_argv(formula="p", state="w1", mode="ou"):
+    return ["eval", "--model", _RED, "--formula", formula, "--state", state,
+            "--agent", "1", "--mode", mode]
+
+
+_MODE_USAGE = ("usage: ambilogic eval [-h] --model MODEL --formula FORMULA "
+               "--state STATE\n                      --agent AGENT --mode "
+               "{common,ou,in,ou-ai,in-ai}\n                      "
+               "[--show-value] [--json]\n")
+
+# Site: runner, and the exit code and stderr for the value "zz".
+_ECHO_SITES = {
+    "unknown-prop": (_cli(_eval_argv(formula="{}")), 2,
+                     "error: proposition 'zz' not declared\n"),
+    "unknown-state": (_cli(_eval_argv(state="{}")), 2,
+                      "error: state 'zz' not declared\n"),
+    "syntax-error-token": (
+        _cli(_eval_argv(formula="p {}")), 2,
+        "error: syntax error at offset 2: expected end of input or "
+        "operator, found 'zz'\n"),
+    "eval-mode": (_cli(_eval_argv(mode="{}")), 2, _MODE_USAGE + (
+        "ambilogic eval: error: argument --mode: invalid choice: 'zz' "
+        "(choose from 'common', 'ou', 'in', 'ou-ai', 'in-ai')\n")),
+    "translate-mode": (
+        _cli(["translate", "--formula", "p", "--agent", "1", "--mode", "{}"]),
+        2, "usage: ambilogic translate [-h] --formula FORMULA --agent AGENT "
+           "--mode {in,ou}\nambilogic translate: error: argument --mode: "
+           "invalid choice: 'zz' (choose from 'in', 'ou')\n"),
+    "prob-value-state": (
+        _api(lambda v: semantics.Evaluator(load_structure(_RED)).prob_value(
+            v, 1, fm.parse("Pr2(p) >= 1/2"), EvalMode.OUTERMOST)),
+        2, "error: state 'zz' not declared\n"),
+    "mode-name": (_api(EvalMode.parse), 2,
+                  "error: unknown mode 'zz' (use one of common, ou, in, "
+                  "ou-ai, in-ai)\n"),
+    "cell-index": (_api(lambda v: load_structure(_RED).cell_index(1, v)), 2,
+                   "error: state 'zz' not in any cell of agent 1\n"),
+    "reachable": (_api(lambda v: reachable(load_structure(_RED), {1}, v)), 2,
+                  "error: state 'zz' not declared\n"),
+    "prop-name": (
+        _edited("m_red.json", lambda d, v: d["props"].append("!" + v)), 2,
+        "error: unusable proposition name: '!zz'\n"),
+    "rational-value": (
+        _edited("m_red.json", lambda d, v: d["beliefs"]["2"][0]["measure"]
+                .update(w1=[v])), 2,
+        "error: beliefs[2][0]: bad rational ['zz']\n"),
+    "duplicate-key": (
+        _edited("m_red.json", None, lambda text, v: text.replace(
+            "{", '{"%s": 1, "%s": 2, ' % (v, v), 1)), 2,
+        "error: duplicate key 'zz'\n"),
+    "partition-state": (
+        _edited("m_red.json",
+                lambda d, v: d["partitions"]["1"][0].append(v)), 2,
+        "error: partitions[1]: unknown state 'zz'\n"),
+    "agent-key": (
+        _edited("m_red.json", lambda d, v: d["partitions"].update({v: []})),
+        2, "error: partitions: bad agent key 'zz'\n"),
+    "signal-text": (
+        _edited("m_ai.json", lambda d, v: d["signals"]["1"].update(a=[v])),
+        2, "error: signals[1][a]: expected formula text, got ['zz']\n"),
+    "prior-state": (
+        _edited("m_ai.json", lambda d, v: d["priors"]["1"].update({v: "0"})),
+        2, "error: priors[1]: unknown state 'zz'\n"),
+    "interpreted-prop": (
+        _edited("m_red.json",
+                lambda d, v: d["interpretations"]["1"].update({v: []})),
+        2, "error: interpretations[1]: unknown proposition 'zz'\n"),
+}
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    """argparse wraps its usage lines to the terminal's width."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("site", list(_ECHO_SITES))
+def test_short_echoed_value_is_shown_whole(site, tmp_path, capsys,
+                                           columns_80):
+    run, code, err = _ECHO_SITES[site]
+    assert run("zz", tmp_path, capsys) == (code, err)
+
+
+@pytest.mark.parametrize("site", list(_ECHO_SITES))
+def test_long_echoed_value_is_cut_in_one_short_line(site, tmp_path, capsys,
+                                                   columns_80):
+    run, code, short_err = _ECHO_SITES[site]
+    got, err = run("x" * 100000, tmp_path, capsys)
+    *usage, line = err.splitlines()
+    assert got == code
+    assert len(line.encode()) < 200 and "characters)" in line, line[:300]
+    assert usage == short_err.splitlines()[:-1]  # argparse's, if any

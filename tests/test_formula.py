@@ -357,3 +357,73 @@ def test_facts_are_kept_per_node():
         == ({1, 2, 3}, {"p@1", "q"}, True, 4, False)
     assert fm.facts(f) is got
     assert not fm.is_propositional(f) and fm.is_propositional(fm.parse("!q"))
+
+
+@pytest.mark.parametrize("text", [
+    "p", "p@2", "!(p & q) | Pr1(q) >= 1/2", "E{2,1}^2 (p -> q)",
+    "CB{1,3} 2/4*Pr3(p) + -1*Pr3(!p) >= 1/3", "true <-> B2 false",
+])
+def test_formulas_parsed_twice_are_one_object_and_one_key(text):
+    first, second = fm.parse(text), fm.parse(text)
+    assert first is second
+    assert {first: 1, second: 2} == {first: 2}
+    assert fm.expand(first) is fm.expand(second)
+
+
+def test_intern_keys_read_coefficients_and_bounds_by_value():
+    p = fm.Prop("p")
+    half = fm.ProbTerm(Fraction(1, 2), 1, p)
+    assert fm.ProbTerm(Fraction(2, 4), 1, p) is half
+    assert fm.ProbTerm(1, 1, p) is fm.ProbTerm(Fraction(1), 1, p)
+    assert fm.ProbTerm(-3, 2, p) is fm.ProbTerm(Fraction(-6, 2), 2, p)
+    assert fm.ProbTerm(1, 1, p) is not half
+    assert type(fm.ProbTerm(1, 1, p).coeff) is Fraction
+    # A Fraction is kept as it is: a new node holds the argument itself.
+    coeff = Fraction(12345, 67891)
+    assert fm.ProbTerm(coeff, 1, fm.Prop("fresh_coeff")).coeff is coeff
+    terms = (half,)
+    assert fm.ProbGe(terms, Fraction(2, 4)) is fm.ProbGe(terms, Fraction(1, 2))
+    assert fm.ProbGe(terms, 1) is fm.ProbGe(terms, Fraction(1))
+    assert fm.ProbGe(terms, 0) is not fm.ProbGe(terms, 1)
+    assert type(fm.ProbGe(terms, 1).bound) is Fraction
+    assert fm.parse("1/2*Pr1(p) >= 2/4") is fm.ProbGe(terms, Fraction(1, 2))
+
+
+def _facts_by_recursion(f):
+    """(agents, props, indexed, depth, core) of f, by the meaning of each
+    field, recomputed from the children."""
+    if isinstance(f, fm.Prop):
+        return frozenset(), frozenset({f.name}), False, 1, True
+    if isinstance(f, fm.IndexedProp):
+        return (frozenset({f.agent}), frozenset({"%s@%d" % (f.name, f.agent)}),
+                True, 1, True)
+    if isinstance(f, (fm.TrueF, fm.FalseF)):
+        return frozenset(), frozenset(), False, 1, False
+    if isinstance(f, fm.ProbGe):
+        kids, own, core = [t.arg for t in f.terms], {f.agent}, True
+    elif isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Iff)):
+        kids, own, core = [f.left, f.right], set(), isinstance(f, fm.And)
+    elif isinstance(f, fm.Not):
+        kids, own, core = [f.arg], set(), True
+    elif isinstance(f, fm.B):
+        kids, own, core = [f.arg], {f.agent}, False
+    else:  # CB and EB
+        kids, own, core = [f.arg], set(f.group), isinstance(f, fm.CB)
+    below = [_facts_by_recursion(k) for k in kids]
+    return (frozenset(own).union(*(b[0] for b in below)),
+            frozenset().union(*(b[1] for b in below)),
+            any(b[2] for b in below), 1 + max(b[3] for b in below),
+            core and all(b[4] for b in below))
+
+
+def test_facts_of_every_node_match_a_recursive_recomputation():
+    rng = random.Random(16)
+    seen = 0
+    for _ in range(300):
+        f = random_surface_formula(rng, ["p", "q", "r"], 3,
+                                   rng.randint(0, 5))
+        for g in fm.subformulas(f):
+            assert tuple(fm.facts(g)) == _facts_by_recursion(g), \
+                fm.print_formula(g)
+            seen += 1
+    assert seen > 1000

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -14,9 +15,12 @@ from fractions import Fraction
 import pytest
 
 import ambilogic
+from ambilogic import campaign
 from ambilogic import formula as fm
 from ambilogic.campaign import Campaign, run_campaign
-from ambilogic.generators import GenBounds
+from ambilogic.generators import GenBounds, formula_corpus, random_structure
+from ambilogic.modes import EvalMode
+from ambilogic.semantics import Evaluator
 from ambilogic.structure import CellBeliefs
 from ambilogic.transforms import TransformClaim
 
@@ -130,19 +134,57 @@ def test_node_table_does_not_grow_across_campaign_trials():
     assert len(fm._nodes) <= before
 
 
-def _check_output(hash_seed):
+def _check_output(hash_seed, *extra):
     proc = subprocess.run(
         [sys.executable, "-m", "ambilogic.cli", "check", "--seed", "42",
-         "--trials", "60"], capture_output=True, text=True, check=True,
+         "--trials", "60", *extra], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
              "PYTHONHASHSEED": hash_seed})
-    return re.sub(r'"elapsed_s": [^,}\n]*', '"elapsed_s"', proc.stdout)
+    return proc.returncode, re.sub(r'"elapsed_s": [^,}\n]*', '"elapsed_s"',
+                                   proc.stdout)
 
 
 def test_check_output_does_not_depend_on_the_hash_seed():
-    """Modes hash by identity and strings by the hash seed; neither may
-    reach the output."""
-    assert _check_output("0") == _check_output("1")
+    """Modes and formula nodes hash by identity and strings by the hash
+    seed; none of them may reach the output, a failing campaign's
+    counterexamples included."""
+    for extra, status in (((), 0), (("--naive-cb",), 1)):
+        first = _check_output("0", *extra)
+        assert first[0] == status
+        assert _check_output("1", *extra) == first
+
+
+def _modes_agree_per_state(m, corpus, modes):
+    """Reference: the first (formula, state, agent) whose modes split."""
+    ev = Evaluator(m)
+    for f in corpus:
+        for s in m.states:
+            for i in m.agents:
+                values = {mode.value: ev.evaluate(s, i, f, mode)
+                          for mode in modes}
+                if len(set(values.values())) != 1:
+                    return False, campaign._counterexample(m, None, {
+                        "query": {"state": s, "agent": i,
+                                  "formula": fm.print_formula(f)},
+                        "values": values})
+    return True, None
+
+
+@pytest.mark.parametrize("common, modes", [
+    (False, (EvalMode.OUTERMOST, EvalMode.INNERMOST)),
+    (False, (EvalMode.INNERMOST, EvalMode.OUTERMOST)),
+    (True, (EvalMode.COMMON, EvalMode.OUTERMOST, EvalMode.INNERMOST)),
+])
+def test_modes_agree_finds_what_a_per_state_check_finds(common, modes):
+    rng = random.Random(1616)
+    split = 0
+    for _ in range(60):
+        m = random_structure(rng, GenBounds(max_depth=3), common=common)
+        corpus = formula_corpus(rng, m, 4, 3)
+        got = campaign._modes_agree(m, corpus, modes)
+        assert got == _modes_agree_per_state(m, corpus, modes)
+        split += not got[0]
+    assert split >= 10 if not common else split == 0
 
 
 def test_gen_bounds_round_trip_through_vars():

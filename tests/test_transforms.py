@@ -6,12 +6,15 @@ import pytest
 from ambilogic import formula as fm
 from ambilogic.errors import ClaimSpecMismatch, NotCommonInterpretation
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
+from ambilogic.modes import EvalMode
+from ambilogic.semantics import Evaluator
 from ambilogic.structure import (
     is_common_interpretation,
     validate_core,
     validate_signals,
 )
 from ambilogic.transforms import (
+    StateMap,
     TransformClaim,
     disjoint_copies,
     fix_interpretation,
@@ -20,6 +23,8 @@ from ambilogic.transforms import (
 )
 
 from demo_models import m_ck, m_red
+
+OU, IN, COMMON = EvalMode.OUTERMOST, EvalMode.INNERMOST, EvalMode.COMMON
 
 CORPUS = [fm.parse("p"), fm.parse("B2 p"), fm.parse("CB{1,2} p"),
           fm.parse("Pr2(p) >= 1/2"), fm.parse("!p & B1 p")]
@@ -237,3 +242,73 @@ def test_thm1_da_records_an_invalid_labelled_structure(monkeypatch):
     assert result.failures == 2
     assert result.first_counterexample["reason"] \
         == "labelled structure invalid"
+
+
+def _replay_per_state(m, transformed, pairs, formulas, kind):
+    """Reference replay: each (original query, result query) pair, one
+    state at a time."""
+    ev_orig, ev_new = Evaluator(m), Evaluator(transformed)
+    entries = []
+    for f in formulas:
+        for (s, i, mode), (new_state, j, new_mode) in pairs:
+            left = ev_orig.evaluate(s, i, f, mode)
+            right = ev_new.evaluate(new_state, j, f, new_mode)
+            if left != right:
+                entries.append({
+                    "kind": "transform-mismatch",
+                    "message": "%s: %s evaluates %s originally but %s after "
+                               "the transform" % (kind, fm.print_formula(f),
+                                                  left, right),
+                    "context": dict(formula=fm.print_formula(f),
+                                    state=new_state, agent=i,
+                                    original=left, transformed=right)})
+    return entries
+
+
+def _wrong_fix(rng, m):
+    agent = m.n_agents  # stamps agent 1's reading, claims agent n's
+    return (fix_interpretation(m, 1), None,
+            TransformClaim("fix-interpretation", agent=agent),
+            [((s, agent, OU), (s, agent, COMMON)) for s in m.states])
+
+
+def _shifted_copies(rng, m):
+    # Each copy claimed for the next agent's tag.
+    copies, state_map = disjoint_copies(m)
+    shifted = {new: (old, tag % m.n_agents + 1)
+               for new, (old, tag) in state_map.mapping.items()}
+    return (copies, StateMap(shifted), TransformClaim("disjoint-copies"),
+            [((old, tag, IN), (new, 1, COMMON))
+             for new, (old, tag) in sorted(shifted.items())])
+
+
+def _relabelled_p(rng, m):
+    # Labels the cells, then reads p as its complement.
+    labelled, _ = label_partitions(m, rng.choice(m.states))
+    flipped = labelled.universe - labelled.interpretations[1]["p"]
+    broken = labelled.replace(interpretations={
+        i: {**labelled.interpretations[i], "p": flipped}
+        for i in labelled.agents})
+    return (broken, None, TransformClaim("label-partitions"),
+            [((s, i, COMMON), (s, i, COMMON))
+             for s in broken.states for i in m.agents])
+
+
+@pytest.mark.parametrize("breaks, common", [
+    (_wrong_fix, False), (_shifted_copies, False), (_relabelled_p, True)])
+def test_replay_reports_what_a_per_state_replay_reports(breaks, common):
+    rng = random.Random(1606)
+    failing = 0
+    for _ in range(25):
+        m = random_structure(rng, GenBounds(max_states=4, max_agents=3,
+                                            max_depth=3), common=common)
+        if m.n_agents < 2 or "p" not in m.props:
+            continue
+        transformed, state_map, claim, pairs = breaks(rng, m)
+        corpus = formula_corpus(rng, m, 4, 3)
+        got = [v.to_dict() for v in verify_transform_equivalence(
+            m, transformed, state_map, corpus, claim).entries]
+        assert got == _replay_per_state(m, transformed, pairs, corpus,
+                                        claim.kind)
+        failing += bool(got)
+    assert failing >= 3

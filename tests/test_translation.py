@@ -159,3 +159,51 @@ def test_naive_translation_differs_on_handmade_model():
     left = Evaluator(m).evaluate("w1", 1, f, EvalMode.INNERMOST)
     assert ev.evaluate("w1", 1, good, EvalMode.COMMON) == left
     assert ev.evaluate("w1", 1, naive, EvalMode.COMMON) != left
+
+
+def _theorem2_per_state(m, corpus, naive_cb):
+    """Reference replay: both directions, one query per state."""
+    lifted = lift_to_indexed(m)
+    ev, ev_lifted = Evaluator(m), Evaluator(lifted)
+    taut = m.props[0]
+    entries = []
+    for f in corpus:
+        for i in m.agents:
+            pairs = [("in", EvalMode.INNERMOST,
+                      (translate_in_naive if naive_cb else translate_in)(
+                          f, i, taut)),
+                     ("ou", EvalMode.OUTERMOST, translate_ou(f, i, taut))]
+            for label, mode, translated in pairs:
+                for s in m.states:
+                    left = ev.evaluate(s, i, f, mode)
+                    right = ev_lifted.evaluate(s, i, translated,
+                                               EvalMode.COMMON)
+                    if left != right:
+                        entries.append({
+                            "kind": "translation-mismatch",
+                            "message": "%s-translation of %s diverges at "
+                                       "(%s, %d): %s vs %s" % (
+                                           label, fm.print_formula(f), s, i,
+                                           left, right),
+                            "context": dict(
+                                direction=label, state=s, agent=i,
+                                formula=fm.print_formula(f),
+                                translated=fm.print_formula(translated),
+                                original=left, lifted=right)})
+    return entries
+
+
+@pytest.mark.parametrize("naive_cb", [True, False])
+def test_theorem2_reports_what_a_per_state_replay_reports(naive_cb):
+    rng = random.Random(2016)
+    failing = 0
+    for _ in range(60):
+        m = random_structure(rng, GenBounds(max_states=4, max_agents=3,
+                                            max_depth=3))
+        m = m.replace(states=m.states[::-1])  # entries follow this order
+        corpus = formula_corpus(rng, m, 4, 3)
+        got = [v.to_dict() for v in verify_theorem2(
+            m, corpus, naive_cb=naive_cb).entries]
+        assert got == _theorem2_per_state(m, corpus, naive_cb)
+        failing += bool(got)
+    assert failing >= 3 if naive_cb else failing == 0
