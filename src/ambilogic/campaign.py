@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from . import formula as fm
+from .errors import shown
 from .generators import (
     GenBounds,
     formula_corpus,
@@ -59,9 +60,9 @@ class Campaign(fm.Frozen):
                  naive_cb: bool = False):
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        unknown = set(checks) - set(CHECK_NAMES)
+        unknown = ", ".join(sorted(set(checks) - set(CHECK_NAMES)))
         if unknown:
-            raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+            raise ValueError("unknown checks: " + shown(unknown, quoted=False))
         self._init(seed, trials, GenBounds() if bounds is None else bounds,
                    checks, naive_cb)
 

@@ -15,6 +15,7 @@ import sys
 from . import formula as fm
 from .campaign import CHECK_NAMES, Campaign, run_campaign
 from .errors import (
+    ECHOED,
     AlreadyIndexed,
     AmbilogicError,
     CoreInvalid,
@@ -53,16 +54,25 @@ _FAILURE_ERRORS = (NotCommonInterpretation, CoreInvalid, AlreadyIndexed,
 
 
 def _one_of(*values) -> dict:
-    """Arguments for ``add_argument`` that accept only ``values``.  It is
-    argparse's choice check with the same usage and messages, but a
-    refused value is echoed by ``shown``, not whole."""
+    """Arguments for ``add_argument`` that accept only ``values``, as
+    argparse's ``choices`` does, but refused first and echoed by ``shown``;
+    a value cut short leaves the choices to the usage line."""
     def read(text):
         if text not in values:
-            raise argparse.ArgumentTypeError(
-                "invalid choice: %s (choose from %s)"
-                % (shown(text), ", ".join(map(repr, values))))
+            raise argparse.ArgumentTypeError("invalid choice: %s%s" % (
+                shown(text), "" if len(text) > ECHOED else " (choose from %s)"
+                % ", ".join(map(repr, values))))
         return text
-    return {"type": read, "metavar": "{%s}" % ",".join(values)}
+    return {"type": read, "choices": values}
+
+
+def _int(text) -> int:
+    """``type=int``, with argparse's message echoing the text by ``shown``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %s" % shown(text)) from None
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
@@ -88,7 +98,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--formula", required=True)
         p.add_argument("--state", required=True)
-        p.add_argument("--agent", required=True, type=int)
+        p.add_argument("--agent", required=True, type=_int)
         p.add_argument("--mode", required=True,
                        **_one_of(*[m.value for m in EvalMode]))
         p.add_argument("--show-value", action="store_true",
@@ -98,12 +108,12 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
     if named in (None, "transform"):
         p = sub.add_parser("transform", help="apply a model transformation")
-        p.add_argument("kind", choices=["fix-interpretation",
-                                        "disjoint-copies",
-                                        "label-partitions",
-                                        "generate-priors"])
+        p.add_argument("kind", **_one_of("fix-interpretation",
+                                         "disjoint-copies",
+                                         "label-partitions",
+                                         "generate-priors"))
         p.add_argument("--model", required=True)
-        p.add_argument("--agent", type=int)
+        p.add_argument("--agent", type=_int)
         p.add_argument("--state")
         p.add_argument("--out",
                        help="write the result here instead of stdout; "
@@ -113,18 +123,18 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         p = sub.add_parser("translate",
                            help="compile a formula into the indexed language")
         p.add_argument("--formula", required=True)
-        p.add_argument("--agent", required=True, type=int)
+        p.add_argument("--agent", required=True, type=_int)
         p.add_argument("--mode", required=True, **_one_of("in", "ou"))
 
     if named in (None, "check"):
         p = sub.add_parser("check",
                            help="run randomized verification campaigns")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--max-states", type=int, default=5)
-        p.add_argument("--max-agents", type=int, default=3)
-        p.add_argument("--max-props", type=int, default=3)
-        p.add_argument("--max-depth", type=int, default=4)
+        p.add_argument("--seed", type=_int, default=0)
+        p.add_argument("--trials", type=_int, default=100)
+        p.add_argument("--max-states", type=_int, default=5)
+        p.add_argument("--max-agents", type=_int, default=3)
+        p.add_argument("--max-props", type=_int, default=3)
+        p.add_argument("--max-depth", type=_int, default=4)
         p.add_argument("--checks", default=",".join(CHECK_NAMES),
                        help="comma-separated subset of: %s"
                             % ", ".join(CHECK_NAMES))

@@ -5,14 +5,14 @@ message that echoes an input value uses."""
 ECHOED = 40
 
 
-def shown(value) -> str:
+def shown(value, quoted=True) -> str:
     """``repr(value)`` for a message, bounded: a string over ``ECHOED``
     characters is cut there, and any other value whose repr is over
     ``ECHOED`` characters has its repr cut there; either way the full
-    length follows."""
+    length follows.  Unless ``quoted``, an uncut string is shown bare."""
     if isinstance(value, str):
         if len(value) <= ECHOED:
-            return repr(value)
+            return repr(value) if quoted else value
         return "%r (%d characters)" % (value[:ECHOED] + "...", len(value))
     text = repr(value)
     if len(text) <= ECHOED:

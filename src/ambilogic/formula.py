@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple, Union
 
-from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent
+from .errors import FormulaSyntaxError, FormulaTooDeep, UnknownAgent, shown
 
 __all__ = [
     "Prop", "IndexedProp", "Not", "And", "ProbTerm", "ProbGe", "CB",
@@ -140,8 +140,8 @@ def _positive(agent: int, token=None) -> int:
     parser passes the token it read the index from, to name its offset."""
     if agent < 1:
         raise UnknownAgent("agent index must be positive%s" % (
-            ": %r" % (agent,) if token is None
-            else " at offset %d: %s" % (token[2], token[1])))
+            ": %s" % shown(agent) if token is None else " at offset %d: %s"
+            % (token[2], shown(token[1], quoted=False))))
     return agent
 
 

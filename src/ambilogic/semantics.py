@@ -24,7 +24,8 @@ Either way j's belief at a state is a ``CellBeliefs`` with a normaliser: a
 cell's, with 1, or one over the event holding j's unnormalised prior
 masses, with the event's prior mass.  ``_spaces`` tabulates them per
 (agent, reader) and is the only code that builds conditioning events;
-``_lhs``, ``eb_k``, ``belief_edges`` and common belief all read that table.
+the comparison clause, ``eb_k``, ``belief_edges`` and common belief all
+read that table, and a comparison is decided per space in integers.
 
 Common belief is the conjunction of all finite iterations of "everybody in
 the group believes".  It is decided by one backward pass that computes the
@@ -61,7 +62,7 @@ from .errors import (
 from .modes import EvalMode
 from .reporting import Report
 from .structure import (CellBeliefs, Structure, is_common_interpretation,
-                        validate_core, validate_signals)
+                        over_lcm, validate_core, validate_signals)
 
 __all__ = ["EvalMode", "Evaluator", "valid_in_model"]
 
@@ -180,14 +181,14 @@ class Evaluator:
                              % fm.print_formula(f))
         j = core.agent
         reader = j if mode.innermost_scope else agent
-        args = [(t.coeff, self._ext_core(reader, t.arg, mode))
-                for t in core.terms]
+        terms = [(*t.coeff.as_integer_ratio(),
+                  self._ext_core(reader, t.arg, mode)) for t in core.terms]
         spaces, _, undefined = self._spaces(j, mode, reader)
         if state in undefined:
             raise self._undefined(j, state, undefined[state])
         for sources, space, mass in spaces:
             if state in sources:
-                return self._lhs(args, space, mass)
+                return Fraction(*self._lhs(terms, space, mass))
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
@@ -218,9 +219,10 @@ class Evaluator:
                 reader = j if mode.innermost_scope else outer
                 target = (levels[-1] if levels
                           else self._ext_core(reader, core, mode))
-                sets.append(self._where(
-                    j, mode, reader,
-                    lambda space, _: space.believes(target)))
+                sets.append(frozenset().union(*[
+                    sources for sources, space, _
+                    in self._defined_spaces(j, mode, reader)
+                    if space.believes(target)]))
             levels.append(frozenset.intersection(*sets))
         return levels[k - 1]
 
@@ -306,23 +308,30 @@ class Evaluator:
                 elif kind is fm.And:
                     ext[k] = read[0] & read[1]
                 elif kind is fm.ProbGe:
-                    args = [(t.coeff, e) for t, e in zip(g.terms, read)]
-                    ext[k] = self._where(
-                        g.agent, mode, reader, lambda space, mass:
-                        self._lhs(args, space, mass) >= g.bound)
+                    terms = [(*t.coeff.as_integer_ratio(), e)
+                             for t, e in zip(g.terms, read)]
+                    bound = g.bound.as_integer_ratio()
+                    ext[k] = frozenset().union(*[
+                        sources for sources, space, mass
+                        in self._defined_spaces(g.agent, mode, reader)
+                        if self._lhs(terms, space, mass, bound)[0] >= 0])
                 else:
                     ext[k] = self._cb_set(g.group, g.arg, mode, a)
         return ext[key]
 
     @staticmethod
-    def _lhs(args, space, mass) -> Fraction:
-        """Left-hand side of a probability comparison: the sum of each
-        coefficient times ``space``'s measure of its argument's extension
-        within the space, divided once by the space's normaliser ``mass``
-        unless that is 1."""
-        total = sum((coeff * space.measure(ext & space.states)
-                     for coeff, ext in args), Fraction(0))
-        return total if mass == 1 else total / mass
+    def _lhs(terms, space, mass, bound=(0, 1)) -> tuple:
+        """(numerator, positive denominator) of a comparison's left-hand
+        side over ``space`` less ``bound``: coefficient times mass
+        numerators, summed under one LCM of their denominators' products,
+        divided by ``mass`` and less the bound by cross-multiplying."""
+        per_den = {}
+        for p, q, ext in terms:
+            for d, n in space.weights(ext).items():
+                per_den[q * d] = per_den.get(q * d, 0) + p * n
+        num, den = over_lcm(per_den)
+        (mn, md), (bn, bd) = mass.as_integer_ratio(), bound
+        return num * md * bd - bn * den * mn, den * mn * bd
 
     def _spaces(self, j: int, mode: EvalMode, reader: int) -> tuple:
         """Agent j's probability spaces, with j's signals read by
@@ -381,16 +390,6 @@ class Evaluator:
             raise self._undefined(j, *next(iter(undefined.items())))
         return spaces
 
-    def _where(self, j: int, mode: EvalMode, reader: int,
-               holds) -> frozenset:
-        """States served by those of agent j's spaces that satisfy
-        ``holds``."""
-        out = set()
-        for sources, space, mass in self._defined_spaces(j, mode, reader):
-            if holds(space, mass):
-                out |= sources
-        return frozenset(out)
-
     def _undefined(self, j: int, state: str,
                    event: frozenset) -> UndefinedConditional:
         sig = self.m.signals[j][state]
@@ -423,10 +422,9 @@ class Evaluator:
         stack = []
 
         def fail(states):
-            for s in states:
-                if s not in bad:
-                    bad.add(s)
-                    stack.append(s)
+            new = states - bad
+            bad.update(new)
+            stack.extend(new)
 
         graphs = []
         undefined = {}

@@ -30,7 +30,6 @@ from .errors import (
     FormulaTooDeep,
     MissingSignals,
     ModelFormatError,
-    ModePrereqMissing,
     NotMeasurable,
     UnknownAgent,
     UnknownState,
@@ -59,8 +58,8 @@ class CellBeliefs(fm.Frozen):
     ``atoms`` partition the cell and generate the measurable sets; the mass
     of a measurable event is the sum of its atoms' masses.  With singleton
     atoms (the powerset algebra) every event is measurable and point masses
-    are cached for speed.  One pass over the atoms finds both the support
-    and the point masses.
+    are cached for speed, as (numerator, denominator) pairs.  One pass over
+    the atoms finds both the support and the point masses.
     """
 
     _fields = ("states", "atoms", "masses")
@@ -74,13 +73,14 @@ class CellBeliefs(fm.Frozen):
         positive = []
         point = {}
         for atom, mass in zip(atoms, masses):
-            if mass.numerator > 0:
+            ratio = mass.as_integer_ratio()
+            if ratio[0] > 0:
                 positive.append(atom)
             if point is None:
                 continue
             if len(atom) == 1:
                 [s] = atom
-                point[s] = mass
+                point[s] = ratio
             else:
                 point = None
         set_field(self, "_support", frozenset().union(*positive))
@@ -93,35 +93,43 @@ class CellBeliefs(fm.Frozen):
     def believes(self, event: frozenset) -> bool:
         """Mass-one test of the part of an event inside the cell: by the
         support when point masses are cached, by its measure otherwise."""
-        if self._point is not None:
-            return self._support <= event
-        return self.measure(event & self.states) == 1
+        return (self._support <= event if self._point is not None
+                else self.measure(event) == 1)
 
-    def measure(self, event: frozenset) -> Fraction:
-        """Mass of ``event``; the event must be a union of atoms."""
-        if self._point is not None:
-            return sum((self._point[s] for s in event if s in self._point),
-                       Fraction(0))
-        total = Fraction(0)
+    def weights(self, event: frozenset) -> dict:
+        """Numerators, per denominator, of the masses inside ``event``: its
+        states' point masses, or the atoms it holds, if it cuts none."""
+        event = event & self.states
+        per_den = {}
+        point = self._point
+        if point is not None:
+            for s in event:
+                n, d = point[s]
+                per_den[d] = per_den.get(d, 0) + n
+            return per_den
         for atom, mass in zip(self.atoms, self.masses):
             if atom <= event:
-                total += mass
+                n, d = mass.as_integer_ratio()
+                per_den[d] = per_den.get(d, 0) + n
             elif atom & event:
                 raise NotMeasurable(
                     "event {%s} cuts across atom {%s}"
                     % (", ".join(sorted(event)), ", ".join(sorted(atom))))
-        return total
+        return per_den
+
+    def measure(self, event: frozenset) -> Fraction:
+        """Mass of the part of ``event`` in the space (``weights``)."""
+        return Fraction(*over_lcm(self.weights(event)))
 
 
 def singleton_cell(states, masses) -> CellBeliefs:
     """Cell with the powerset algebra: one atom per state."""
     names = sorted(masses)
-    values = [masses[s] for s in names]
     return CellBeliefs(
         states=frozenset(states),
         atoms=tuple(frozenset([s]) for s in names),
         masses=tuple(v if type(v) is Fraction else Fraction(v)
-                     for v in values),
+                     for v in map(masses.__getitem__, names)),
     )
 
 
@@ -207,12 +215,6 @@ class Structure(fm.Frozen):
         ci = self.cell_index(agent, state)
         return self.beliefs[agent][ci]
 
-    def prior_mass(self, agent: int, event) -> Fraction:
-        if self.priors is None:
-            raise ModePrereqMissing("structure has no priors")
-        nu = self.priors[agent]
-        return sum((nu.get(s, Fraction(0)) for s in event), Fraction(0))
-
     def replace(self, **kw) -> "Structure":
         """A new structure with the fields in ``kw`` changed, checked as
         the constructor checks any."""
@@ -221,21 +223,22 @@ class Structure(fm.Frozen):
 
 # --- Validation ---
 
+def over_lcm(per_den: dict) -> tuple:
+    """Unreduced (numerator, denominator) of a sum given as numerators per
+    denominator, each scaled once to the LCM; an empty sum is (0, 1)."""
+    lcm = math.lcm(*per_den)
+    return sum(n * (lcm // d) for d, n in per_den.items()), lcm
+
+
 def _exact_sum(qs) -> tuple:
-    """(whether any of the rationals is negative, their sum), reading each
-    one's numerator and denominator once.  The sum is exact: numerators
-    are added per denominator, and each such sum is scaled once to the LCM
-    of the denominators, which masses often share."""
+    """(whether any of the rationals is negative, their exact sum)."""
     per_den = {}
     negative = False
     for q in qs:
         n, d = q.as_integer_ratio()
         per_den[d] = per_den.get(d, 0) + n
-        if n < 0:
-            negative = True
-    lcm = math.lcm(*per_den)
-    return negative, Fraction(
-        sum(n * (lcm // d) for d, n in per_den.items()), lcm)
+        negative = negative or n < 0
+    return negative, Fraction(*over_lcm(per_den))
 
 
 def _show_sum(q: Fraction) -> str:

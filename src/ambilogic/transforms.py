@@ -95,10 +95,7 @@ def disjoint_copies(m: Structure):
         return frozenset(_copy_name(s, tag) for s in states)
 
     def all_copies(states):
-        out = set()
-        for t in tags:
-            out |= copy_set(states, t)
-        return frozenset(out)
+        return frozenset().union(*(copy_set(states, t) for t in tags))
 
     partitions = {}
     beliefs = {}

@@ -1,8 +1,10 @@
 """Independent brute-force evaluator used to re-derive expected values.
 
 Direct clause-by-clause recursion: no reachability pass, and no
-evaluation code from the package (signals are read by ``_ev`` too).  The
-only memo is the level sets of one belief query (``_level``).
+evaluation code from the package (signals are read by ``_ev`` too).
+Probabilities are plain ``Fraction`` sums over a cell's atoms and masses
+or over an agent's prior (``cell_mass``, ``prior_mass``).  The only memo
+is the level sets of one belief query (``_level``).
 The surface abbreviations have clauses of their own, by their meaning,
 so ``formula.expand`` is not used: ``true``/``false`` are the constants,
 ``|``, ``->`` and ``<->`` the boolean connectives, ``Bj f`` is "j gives f
@@ -17,6 +19,7 @@ structures.
 from fractions import Fraction
 
 from ambilogic import formula as fm
+from ambilogic.errors import NotMeasurable
 
 
 def eval_brute(m, state, agent, f, mode):
@@ -33,14 +36,36 @@ def _conditioning_event(m, mode, agent, j, state):
     return frozenset(s for s in m.states if _ev(m, s, reader, sig, mode))
 
 
+def prior_mass(m, j, event):
+    """Agent j's prior mass of ``event``, as a plain ``Fraction`` sum."""
+    prior = m.priors[j]
+    return sum((prior.get(s, Fraction(0)) for s in event), Fraction(0))
+
+
+def cell_mass(m, j, state, ext):
+    """j's cell measure at ``state`` of the part of ``ext`` in the cell: a
+    plain ``Fraction`` sum of the atoms inside it.  An atom that the part
+    cuts is refused with ``NotMeasurable``."""
+    [(cell, cb)] = [(cell, cb) for cell, cb
+                    in zip(m.partitions[j], m.beliefs[j]) if state in cell]
+    event = ext & cell
+    total = Fraction(0)
+    for atom, mass in zip(cb.atoms, cb.masses):
+        if atom <= event:
+            total += mass
+        elif atom & event:
+            raise NotMeasurable("event {%s} cuts across atom {%s}" % (
+                ", ".join(sorted(event)), ", ".join(sorted(atom))))
+    return total
+
+
 def _prob_of(m, mode, agent, j, state, ext):
     if mode.is_ai:
         event = _conditioning_event(m, mode, agent, j, state)
-        denom = m.prior_mass(j, event)
+        denom = prior_mass(m, j, event)
         assert denom > 0, "brute oracle hit an undefined conditional"
-        return m.prior_mass(j, ext & event) / denom
-    cell = m.cell_of(j, state)
-    return m.cell_beliefs(j, state).measure(ext & cell)
+        return prior_mass(m, j, ext & event) / denom
+    return cell_mass(m, j, state, ext)
 
 
 def _ev(m, state, agent, f, mode):

@@ -40,7 +40,7 @@ from ambilogic.transforms import (
 from ambilogic.translation import verify_theorem2
 
 from demo_models import m_ai, m_red, m_sig
-from oracle import eval_brute
+from oracle import eval_brute, prior_mass
 
 IN, OU = EvalMode.INNERMOST, EvalMode.OUTERMOST
 IN_AI, OU_AI = EvalMode.INNERMOST_AI, EvalMode.OUTERMOST_AI
@@ -175,7 +175,7 @@ def test_criterion_6_inai_equals_in():
         assert validate_signals(m).ok
         for i in m.agents:
             for cell in m.partitions[i]:
-                assert m.prior_mass(i, cell) > 0
+                assert prior_mass(m, i, cell) > 0
         ev = Evaluator(m)
         for f in formula_corpus(rng, m, 4, BOUNDS.max_depth):
             for s in m.states:

@@ -586,15 +586,26 @@ def _api(call):
     return run
 
 
-def _eval_argv(formula="p", state="w1", mode="ou"):
+def _eval_argv(formula="p", state="w1", mode="ou", agent="1"):
     return ["eval", "--model", _RED, "--formula", formula, "--state", state,
-            "--agent", "1", "--mode", mode]
+            "--agent", agent, "--mode", mode]
 
 
 _MODE_USAGE = ("usage: ambilogic eval [-h] --model MODEL --formula FORMULA "
                "--state STATE\n                      --agent AGENT --mode "
                "{common,ou,in,ou-ai,in-ai}\n                      "
                "[--show-value] [--json]\n")
+_TRANSFORM_USAGE = (
+    "usage: ambilogic transform [-h] --model MODEL [--agent AGENT] "
+    "[--state STATE]\n                           [--out OUT]\n"
+    "                           {fix-interpretation,disjoint-copies,"
+    "label-partitions,generate-priors}\n")
+_CHECK_USAGE = (
+    "usage: ambilogic check [-h] [--seed SEED] [--trials TRIALS]\n"
+    "                       [--max-states MAX_STATES] [--max-agents "
+    "MAX_AGENTS]\n                       [--max-props MAX_PROPS] "
+    "[--max-depth MAX_DEPTH]\n                       [--checks CHECKS] "
+    "[--naive-cb]\n")
 
 # Site: runner, and the exit code and stderr for the value "zz".
 _ECHO_SITES = {
@@ -609,6 +620,19 @@ _ECHO_SITES = {
     "eval-mode": (_cli(_eval_argv(mode="{}")), 2, _MODE_USAGE + (
         "ambilogic eval: error: argument --mode: invalid choice: 'zz' "
         "(choose from 'common', 'ou', 'in', 'ou-ai', 'in-ai')\n")),
+    "eval-agent": (_cli(_eval_argv(agent="{}")), 2, _MODE_USAGE + (
+        "ambilogic eval: error: argument --agent: invalid int value: "
+        "'zz'\n")),
+    "check-trials": (_cli(["check", "--trials", "{}"]), 2, _CHECK_USAGE + (
+        "ambilogic check: error: argument --trials: invalid int value: "
+        "'zz'\n")),
+    "transform-kind": (
+        _cli(["transform", "{}", "--model", _RED]), 2, _TRANSFORM_USAGE + (
+            "ambilogic transform: error: argument kind: invalid choice: 'zz' "
+            "(choose from 'fix-interpretation', 'disjoint-copies', "
+            "'label-partitions', 'generate-priors')\n")),
+    "check-checks": (_cli(["check", "--checks", "{}"]), 2,
+                     "error: unknown checks: zz\n"),
     "translate-mode": (
         _cli(["translate", "--formula", "p", "--agent", "1", "--mode", "{}"]),
         2, "usage: ambilogic translate [-h] --formula FORMULA --agent AGENT "
@@ -678,3 +702,18 @@ def test_long_echoed_value_is_cut_in_one_short_line(site, tmp_path, capsys,
     assert got == code
     assert len(line.encode()) < 200 and "characters)" in line, line[:300]
     assert usage == short_err.splitlines()[:-1]  # argparse's, if any
+
+
+@pytest.mark.parametrize("zeros, err", [
+    (1, "error: agent index must be positive at offset 0: Pr0\n"),
+    (38, "error: agent index must be positive at offset 0: Pr%s\n"
+         % ("0" * 38)),
+    (4000, "error: agent index must be positive at offset 0: 'Pr%s...' "
+           "(4002 characters)\n" % ("0" * 38)),
+], ids=["short", "40-characters", "4000-zeros"])
+def test_zero_agent_index_token_is_cut(zeros, err, capsys):
+    # 4,000 zeros are under Python's digit limit, so they read as agent 0
+    # and the token is echoed; a token of at most 40 characters is shown
+    # whole and bare, as before
+    assert main(_eval_argv(formula="Pr%s(p) >= 1/2" % ("0" * zeros))) == 2
+    assert capsys.readouterr().err == err

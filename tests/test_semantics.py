@@ -10,6 +10,7 @@ from ambilogic.errors import (
     CoreInvalid,
     ModePrereqMissing,
     MissingSignals,
+    NotMeasurable,
     UndefinedConditional,
     UnknownAgent,
     UnknownProp,
@@ -709,3 +710,212 @@ def test_campaign_formulas_leave_no_cyclic_garbage():
         "Or", "Implies", "Iff", "TrueF", "FalseF", "B", "EB"))
     assert not [g for g in garbage
                 if isinstance(g, nodes + (Evaluator, CellBeliefs))]
+
+
+# --- The comparison kernel's edge cases, against tests/oracle.py ---
+
+def _kernel_structure(masses_1, masses_2):
+    """Two agents over w1..w4 with point masses; agent 1's cells are
+    {w1, w2, w3} and {w4}, agent 2's {w1, w2} and {w3, w4}.  The agents
+    read p and q differently."""
+    cells_1 = (frozenset({"w1", "w2", "w3"}), frozenset({"w4"}))
+    cells_2 = (frozenset({"w1", "w2"}), frozenset({"w3", "w4"}))
+    return Structure(
+        n_agents=2, states=("w1", "w2", "w3", "w4"), props=("p", "q"),
+        partitions={1: cells_1, 2: cells_2},
+        beliefs={i: tuple(singleton_cell(cell, {s: masses[s] for s in cell})
+                          for cell in cells)
+                 for i, cells, masses in ((1, cells_1, masses_1),
+                                          (2, cells_2, masses_2))},
+        interpretations={
+            1: {"p": frozenset({"w1", "w3"}), "q": frozenset({"w2"})},
+            2: {"p": frozenset({"w1", "w4"}), "q": frozenset({"w2", "w3"})},
+        },
+    )
+
+
+# Mixed denominators in every cell, and a zero-mass state (w3 for agent 2).
+_MIXED_1 = {"w1": Fraction(1, 3), "w2": HALF, "w3": Fraction(1, 6),
+            "w4": ONE}
+_MIXED_2 = {"w1": Fraction(1, 5), "w2": Fraction(4, 5), "w3": Fraction(0),
+            "w4": ONE}
+
+
+def _matches_oracle(m, texts, modes):
+    """``extension`` of each formula, and ``prob_value`` of each of its
+    comparisons, at every state for every agent, equal the oracle's."""
+    from oracle import eval_brute, prob_value_brute
+    ev = Evaluator(m)
+    compared = 0
+    for text in texts:
+        f = fm.parse(text)
+        comparisons = [g for g in fm.subformulas(f)
+                       if isinstance(g, fm.ProbGe)]
+        for mode in modes:
+            for i in m.agents:
+                assert ev.extension(i, f, mode) == frozenset(
+                    s for s in m.states if eval_brute(m, s, i, f, mode)), (
+                        text, mode.value, i)
+                for g in comparisons:
+                    for s in m.states:
+                        assert ev.prob_value(s, i, g, mode) \
+                            == prob_value_brute(m, s, i, g, mode), (
+                                text, mode.value, i, s)
+                        compared += 1
+    return compared
+
+
+def test_kernel_negative_coefficients_match_oracle():
+    # "<=" and ">" desugar to negated coefficients and bounds; "=" to both
+    m = _kernel_structure(_MIXED_1, _MIXED_2)
+    texts = ["Pr1(p) <= 1/3", "Pr2(q) > 1/5", "Pr1(p) = 1/2",
+             "Pr2(p) + -1/2*Pr2(q) >= -1/10", "-2*Pr1(q) < -1/2",
+             "B2 (Pr1(p) <= 1/2)"]
+    assert _matches_oracle(m, texts, (OU, IN)) > 0
+    assert _matches_oracle(fix_interpretation(m, 2), texts, (COMMON,)) > 0
+    f = fm.parse("Pr1(p) <= 1/3")
+    assert fm.expand(f).terms[0].coeff == -1
+    assert Evaluator(m).prob_value("w1", 1, f, OU) == -HALF
+
+
+def test_kernel_mixed_coefficient_denominators_match_oracle():
+    m = _kernel_structure(_MIXED_1, _MIXED_2)
+    texts = ["1/3*Pr1(p) + 2/7*Pr1(q) >= 1/5",
+             "1/3*Pr2(p) + 2/7*Pr2(q) + -5/11*Pr2(p & q) >= 1/13",
+             "3/4*Pr2(!p) >= 2/9"]
+    assert _matches_oracle(m, texts, (OU, IN)) > 0
+    ev = Evaluator(m)
+    f = fm.parse(texts[0])
+    # 1/3 * (1/3 + 1/6) + 2/7 * 1/2 on agent 1's first cell as 1 reads it
+    assert ev.prob_value("w2", 1, f, OU) == Fraction(13, 42)
+
+
+def test_kernel_left_hand_side_equal_to_the_bound():
+    m = _kernel_structure(_MIXED_1, _MIXED_2)
+    ev = Evaluator(m)
+    cell = frozenset({"w1", "w2", "w3"})
+    for text, holds in (("Pr1(p) >= 1/2", True), ("Pr1(p) > 1/2", False),
+                        ("Pr1(p) <= 1/2", True), ("Pr1(p) < 1/2", False),
+                        ("Pr1(p) = 1/2", True),
+                        ("1/3*Pr1(p) + 2/7*Pr1(q) >= 13/42", True),
+                        ("1/3*Pr1(p) + 2/7*Pr1(q) > 13/42", False)):
+        assert (cell <= ev.extension(1, fm.parse(text), OU)) is holds, text
+    assert _matches_oracle(m, ["Pr1(p) >= 1/2", "Pr1(p) > 1/2",
+                               "1/3*Pr1(p) + 2/7*Pr1(q) >= 13/42"],
+                           (OU, IN)) > 0
+
+
+def test_kernel_sixty_digit_denominators():
+    big = 3 ** 126  # 61 digits
+    other = 7 ** 71  # 61 digits
+    x = Fraction(10 ** 59 + 3, big)
+    y = Fraction(2 * 10 ** 58 + 9, other)
+    assert len(str(x.denominator)) >= 60 and len(str(y.denominator)) >= 60
+    masses_1 = {"w1": x, "w2": 1 - x - y, "w3": y, "w4": ONE}
+    masses_2 = {"w1": y, "w2": 1 - y, "w3": x, "w4": 1 - x}
+    m = _kernel_structure(masses_1, masses_2)
+    ev = Evaluator(m)
+    # agent 1 reads p as {w1, w3}: its mass x + y is the bound exactly
+    exact = "Pr1(p) >= %s" % (x + y)
+    above = "Pr1(p) >= %s" % (x + y + Fraction(1, 10 ** 130))
+    assert ev.prob_value("w1", 1, fm.parse(exact), OU) == x + y
+    assert "w1" in ev.extension(1, fm.parse(exact), OU)
+    assert "w1" not in ev.extension(1, fm.parse(above), OU)
+    assert _matches_oracle(m, [exact, above, "1/3*Pr2(q) + -2/7*Pr2(p) "
+                               ">= %s" % (x - y)], (OU, IN)) > 0
+
+
+def test_kernel_zero_mass_events():
+    # agent 2 gives w3 mass 0: an event holding only w3 has value 0 in
+    # {w3, w4}, which a bound of 0 accepts and any positive bound refuses
+    m = _kernel_structure(_MIXED_1, _MIXED_2)
+    ev = Evaluator(m)
+    f = fm.parse("Pr2(q & !p) >= 0")  # 1 reads q & !p as {w2}, 2 as {w2, w3}
+    assert ev.prob_value("w3", 2, f, OU) == 0
+    assert ev.extension(2, f, OU) == m.universe
+    assert ev.extension(2, fm.parse("Pr2(q & !p) > 0"), OU) \
+        == frozenset({"w1", "w2"})
+    assert _matches_oracle(m, ["Pr2(q & !p) >= 0", "Pr2(q & !p) > 0",
+                               "-1*Pr2(q) >= 0", "Pr1(p & q) <= 0"],
+                           (OU, IN)) > 0
+
+
+def _signals_with_zero_priors():
+    """Cell signals over _kernel_structure; agent 1's prior is 0 at w1, so
+    its event {w1, w2, w3} holds a zero-prior state, and agent 2's prior is
+    0 on its whole cell {w3, w4}, whose conditional is undefined."""
+    from ambilogic.transforms import attach_cell_signals
+    m, _ = attach_cell_signals(_kernel_structure(_MIXED_1, _MIXED_2))
+    return m.replace(priors={
+        1: {"w1": Fraction(0), "w2": Fraction(1, 3), "w3": Fraction(1, 6),
+            "w4": HALF},
+        2: {"w1": Fraction(2, 7), "w2": Fraction(5, 7), "w3": Fraction(0),
+            "w4": Fraction(0)},
+    })
+
+
+def test_kernel_zero_prior_state_in_the_conditioning_event():
+    m = _signals_with_zero_priors()
+    ev = Evaluator(m)
+    # conditioned on {w1, w2, w3}: p as 1 reads it is {w1, w3}, mass 1/6
+    # of 1/2
+    f = fm.parse("Pr1(p) >= 1/3")
+    assert ev.prob_value("w1", 1, f, OU_AI) == Fraction(1, 3)
+    assert _matches_oracle(m, ["Pr1(p) >= 1/3", "Pr1(p) > 1/3",
+                               "1/3*Pr1(p) + -2/7*Pr1(q) >= -1/21",
+                               "Pr1(q) <= 2/3"], (OU_AI, IN_AI)) > 0
+
+
+def test_kernel_undefined_conditional():
+    from oracle import prior_mass
+    m = _signals_with_zero_priors()
+    f = fm.parse("1/3*Pr2(p) + 2/7*Pr2(q) >= 1/5")
+    for mode in (OU_AI, IN_AI):
+        ev = Evaluator(m)
+        with pytest.raises(UndefinedConditional) as info:
+            ev.extension(1, f, mode)
+        assert (info.value.agent, info.value.state) == (2, "w3")
+        assert prior_mass(m, 2, info.value.event) == 0
+        with pytest.raises(UndefinedConditional):
+            ev.prob_value("w4", 1, f, mode)
+        # 1/3 * 2/7 + 2/7 * 5/7 as agent 1 reads p and q in ou-ai; agent 2
+        # reads p as {w1, w4} and q as {w2, w3} in in-ai
+        assert ev.prob_value("w1", 1, f, mode) == (
+            Fraction(2, 21) + Fraction(10, 49))
+
+
+def test_kernel_coarse_cell_cut_by_a_later_term():
+    # agent 1's one cell has the atoms {w1, w2} and {w3}; agent 2 reads p
+    # as the atom {w1, w2} and q as {w1}, which cuts it.  The first term is
+    # measurable and the second is not.
+    cell = frozenset({"w1", "w2", "w3"})
+    m = Structure(
+        n_agents=2, states=("w1", "w2", "w3"), props=("p", "q"),
+        partitions={1: (cell,),
+                    2: (frozenset({"w1", "w2"}), frozenset({"w3"}))},
+        beliefs={
+            1: (CellBeliefs(cell, (frozenset({"w1", "w2"}),
+                                   frozenset({"w3"})),
+                            (Fraction(2, 3), Fraction(1, 3))),),
+            2: (singleton_cell({"w1", "w2"}, {"w1": Fraction(1, 4),
+                                              "w2": Fraction(3, 4)}),
+                singleton_cell({"w3"}, {"w3": ONE})),
+        },
+        interpretations={
+            1: {"p": frozenset({"w1", "w2"}), "q": frozenset({"w3"})},
+            2: {"p": frozenset({"w1", "w2"}), "q": frozenset({"w1"})},
+        },
+    )
+    assert validate_core(m).ok
+    from oracle import prob_value_brute
+    f = fm.parse("Pr1(p) + 2/3*Pr1(q) >= 1/2")
+    message = "event {w1} cuts across atom {w1, w2}"
+    for call in (lambda ev: ev.extension(2, f, OU),
+                 lambda ev: ev.prob_value("w3", 2, f, OU),
+                 lambda ev: prob_value_brute(m, "w3", 2, fm.expand(f), OU)):
+        with pytest.raises(NotMeasurable) as info:
+            call(Evaluator(m))
+        assert str(info.value) == message
+    assert Evaluator(m).prob_value("w1", 1, f, OU) == Fraction(2, 3) + \
+        Fraction(2, 9)
+    assert _matches_oracle(m, ["Pr1(p) + 2/3*Pr1(q) >= 1/2"], (IN,)) > 0
