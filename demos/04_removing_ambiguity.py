@@ -37,7 +37,8 @@ print()
 print("== 2. one tagged copy of the state space per agent ==")
 copies, state_map = disjoint_copies(m)
 print("states:", copies.states)
-print("tag map:", state_map.to_dict())
+print("tag map:", {new: {"state": old, "tag": tag}
+                   for new, (old, tag) in sorted(state_map.items())})
 report = verify_transform_equivalence(
     m, copies, state_map, corpus, TransformClaim("disjoint-copies"))
 print("common evaluation at a tagged copy matches innermost evaluation")

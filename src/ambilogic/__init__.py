@@ -68,7 +68,6 @@ from .structure import (
 )
 from .semantics import Evaluator, valid_in_model
 from .transforms import (
-    StateMap,
     TransformClaim,
     attach_cell_signals,
     disjoint_copies,

@@ -43,47 +43,14 @@ from .translation import verify_theorem2
 __all__ = ["Campaign", "CampaignReport", "CheckResult", "run_campaign",
            "CHECK_NAMES"]
 
-CHECK_NAMES = (
-    "thm1-ab", "thm1-ac", "thm1-da", "thm2-in", "thm2-ou",
-    "prop1", "mode-agreement", "inai-eq-in", "cb-oracle",
-)
 
-
-class Campaign(fm.Frozen):
-    """What to check, how often, from which seed; ``naive_cb`` is a testing
-    hook that corrupts the innermost translation."""
-
-    __slots__ = _fields = ("seed", "trials", "bounds", "checks", "naive_cb")
-
-    def __init__(self, seed: int = 0, trials: int = 100,
-                 bounds: GenBounds = None, checks: tuple = CHECK_NAMES,
-                 naive_cb: bool = False):
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        unknown = ", ".join(sorted(set(checks) - set(CHECK_NAMES)))
-        if unknown:
-            raise ValueError("unknown checks: " + shown(unknown, quoted=False))
-        self._init(seed, trials, GenBounds() if bounds is None else bounds,
-                   checks, naive_cb)
-
-
-class CheckResult:
-    __slots__ = ("name", "trials", "failures", "first_counterexample",
-                 "elapsed_s")
+class CheckResult(fm.Frozen):
+    __slots__ = _fields = ("name", "trials", "failures",
+                           "first_counterexample", "elapsed_s")
 
     def __init__(self, name: str, trials: int = 0, failures: int = 0,
                  first_counterexample: dict = None, elapsed_s: float = 0.0):
-        self.name = name
-        self.trials = trials
-        self.failures = failures
-        self.first_counterexample = first_counterexample
-        self.elapsed_s = elapsed_s
-
-    def __repr__(self) -> str:
-        return ("CheckResult(name=%r, trials=%r, failures=%r, "
-                "first_counterexample=%r, elapsed_s=%r)"
-                % (self.name, self.trials, self.failures,
-                   self.first_counterexample, self.elapsed_s))
+        self._init(name, trials, failures, first_counterexample, elapsed_s)
 
     def to_dict(self) -> dict:
         return {
@@ -94,16 +61,11 @@ class CheckResult:
         }
 
 
-class CampaignReport:
-    __slots__ = ("campaign", "results")
+class CampaignReport(fm.Frozen):
+    __slots__ = _fields = ("campaign", "results")
 
     def __init__(self, campaign: Campaign, results: dict = None):
-        self.campaign = campaign
-        self.results = {} if results is None else results
-
-    def __repr__(self) -> str:
-        return "CampaignReport(campaign=%r, results=%r)" % (
-            self.campaign, self.results)
+        self._init(campaign, {} if results is None else results)
 
     @property
     def ok(self) -> bool:
@@ -271,6 +233,28 @@ _CHECK_FNS = {
     "cb-oracle": _check_cb_oracle,
 }
 
+CHECK_NAMES = tuple(_CHECK_FNS)
+
+
+class Campaign(fm.Frozen):
+    """What to check, how often, from which seed; ``naive_cb`` is a testing
+    hook that corrupts the innermost translation."""
+
+    __slots__ = _fields = ("seed", "trials", "bounds", "checks", "naive_cb")
+
+    def __init__(self, seed: int = 0, trials: int = 100,
+                 bounds: GenBounds = None, checks: tuple = CHECK_NAMES,
+                 naive_cb: bool = False):
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not checks:
+            raise ValueError("no checks selected")
+        unknown = ", ".join(sorted(set(checks) - set(CHECK_NAMES)))
+        if unknown:
+            raise ValueError("unknown checks: " + shown(unknown, quoted=False))
+        self._init(seed, trials, GenBounds() if bounds is None else bounds,
+                   checks, naive_cb)
+
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
     """Run the selected checks for the given number of trials each.
@@ -278,21 +262,19 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     Each trial is seeded from (campaign seed, check name, trial index), so
     reports are reproducible and independent of check order.
     """
-    report = CampaignReport(campaign)
+    results = {}
     for name in campaign.checks:
         fn = _CHECK_FNS[name]
-        result = CheckResult(name)
+        failures, first = 0, None
         started = time.perf_counter()
         for trial in range(campaign.trials):
             rng = random.Random("%d/%s/%d" % (campaign.seed, name, trial))
             ok, counterexample = fn(rng, campaign.bounds, campaign.naive_cb)
-            result.trials += 1
             if not ok:
-                result.failures += 1
-                if result.first_counterexample is None:
-                    counterexample = dict(counterexample or {})
-                    counterexample["trial"] = trial
-                    result.first_counterexample = counterexample
-        result.elapsed_s = round(time.perf_counter() - started, 6)
-        report.results[name] = result
-    return report
+                failures += 1
+                if first is None:
+                    first = dict(counterexample or {}, trial=trial)
+        results[name] = CheckResult(
+            name, campaign.trials, failures, first,
+            round(time.perf_counter() - started, 6))
+    return CampaignReport(campaign, results)

@@ -202,7 +202,8 @@ def _cmd_transform(args) -> int:
         out = fix_interpretation(m, args.agent)
     elif args.kind == "disjoint-copies":
         out, state_map = disjoint_copies(m)
-        sidecar = {"state_map": state_map.to_dict()}
+        sidecar = {"state_map": {new: {"state": old, "tag": tag}
+                                 for new, (old, tag) in state_map.items()}}
     elif args.kind == "label-partitions":
         if args.state is None:
             raise ModelFormatError("label-partitions needs --state")

@@ -64,7 +64,8 @@ class Frozen:
     ``object.__setattr__``; a formula node is built by ``__new__``
     instead, and interned (``_Node``).  Later assignment or deletion
     raises ``AttributeError``.  Instances of one class compare and hash by
-    their fields, and ``repr`` shows them.
+    their fields (one holding a list or dict does not hash), and ``repr``
+    shows them.
     """
 
     __slots__ = ()
@@ -308,31 +309,16 @@ _BINARY = {Iff: ("<->", 1, False), Implies: ("->", 2, True),
            Or: ("|", 3, False), And: ("&", 4, False)}
 
 
-def _children(f):
-    return _KIDS[type(f)](f)
-
-
-def _no_kids(f):
-    return ()
-
-
-def _arg(f):
-    return (f.arg,)
-
-
-def _sides(f):
-    return (f.left, f.right)
-
-
-def _term_args(f):
-    return tuple(t.arg for t in f.terms)
-
-
-# Each node class's children, in evaluation order.
-_KIDS = {Prop: _no_kids, IndexedProp: _no_kids, TrueF: _no_kids,
-         FalseF: _no_kids, ProbTerm: _no_kids, Not: _arg, B: _arg, EB: _arg,
-         CB: _arg, And: _sides, Or: _sides, Implies: _sides, Iff: _sides,
-         ProbGe: _term_args}
+def _children(f) -> list:
+    """The subformulas of node ``f``, in evaluation order: each field that
+    is a node, and the argument of each term of a comparison's ``terms``."""
+    kids = []
+    for value in f._values():
+        if isinstance(value, _Node):
+            kids.append(value)
+        elif isinstance(value, tuple):
+            kids.extend(t.arg for t in value)
+    return kids
 
 
 # --- Parser ---

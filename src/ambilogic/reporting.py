@@ -2,33 +2,26 @@
 
 from __future__ import annotations
 
+from . import formula as fm
 
-class Violation:
-    __slots__ = ("kind", "message", "context")
+
+class Violation(fm.Frozen):
+    __slots__ = _fields = ("kind", "message", "context")
 
     def __init__(self, kind: str, message: str, context: dict = None):
-        self.kind = kind
-        self.message = message
-        self.context = {} if context is None else context
-
-    def __repr__(self) -> str:
-        return "Violation(kind=%r, message=%r, context=%r)" % (
-            self.kind, self.message, self.context)
+        self._init(kind, message, {} if context is None else context)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "message": self.message, "context": self.context}
 
 
-class Report:
+class Report(fm.Frozen):
     """A list of violations; empty means the checked property holds."""
 
-    __slots__ = ("entries",)
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: list = None):
-        self.entries = [] if entries is None else entries
-
-    def __repr__(self) -> str:
-        return "Report(entries=%r)" % (self.entries,)
+        self._init([] if entries is None else entries)
 
     @property
     def ok(self) -> bool:
@@ -39,9 +32,6 @@ class Report:
 
     def kinds(self):
         return {v.kind for v in self.entries}
-
-    def extend(self, other: "Report") -> None:
-        self.entries.extend(other.entries)
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.entries]}

@@ -34,27 +34,10 @@ from .structure import (
 )
 
 __all__ = [
-    "StateMap", "TransformClaim",
+    "TransformClaim",
     "fix_interpretation", "disjoint_copies", "label_partitions",
     "attach_cell_signals", "verify_transform_equivalence",
 ]
-
-
-class StateMap(fm.Frozen):
-    """Maps each state of a transformed structure to (source state, tag).
-
-    The tag is the copy's agent for ``disjoint_copies`` and None for the
-    transforms that keep the original states.
-    """
-
-    __slots__ = _fields = ("mapping",)
-
-    def __init__(self, mapping: dict):
-        self._init(mapping)
-
-    def to_dict(self) -> dict:
-        return {new: {"state": old, "tag": tag}
-                for new, (old, tag) in sorted(self.mapping.items())}
 
 
 class TransformClaim(fm.Frozen):
@@ -80,7 +63,7 @@ def _copy_name(state: str, tag: int) -> str:
 
 def disjoint_copies(m: Structure):
     """One tagged copy of the state space per agent; returns the structure
-    and the state map.
+    and the state map, ``{copied state: (source state, tag agent)}``.
 
     A cell becomes the union of all tagged copies of its states; agent i's
     measure keeps its value on the tag-i copy of each atom and is zero on
@@ -130,9 +113,7 @@ def disjoint_copies(m: Structure):
         partitions=partitions, beliefs=beliefs,
         interpretations=interpretations,
     )
-    state_map = StateMap({_copy_name(s, t): (s, t)
-                          for s in m.states for t in tags})
-    return lifted, state_map
+    return lifted, {_copy_name(s, t): (s, t) for s in m.states for t in tags}
 
 
 def fresh_names(base_names, taken):
@@ -221,7 +202,7 @@ def label_partitions(m: Structure, state: str):
 
 
 def verify_transform_equivalence(m: Structure, transformed: Structure,
-                                 state_map: StateMap, formulas,
+                                 state_map: dict, formulas,
                                  claim: TransformClaim) -> Report:
     """Replay a transform's per-formula equivalence on concrete inputs.
 
@@ -244,16 +225,15 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
         pairs = [((s, i, EvalMode.OUTERMOST), (s, i, EvalMode.COMMON))
                  for s in m.states]
     elif claim.kind == "disjoint-copies":
-        mapping = state_map.mapping if state_map is not None else None
-        if mapping is None or set(mapping) != set(transformed.states):
+        if state_map is None or set(state_map) != set(transformed.states):
             raise ClaimSpecMismatch(
                 "disjoint-copies claim needs a total state map")
-        for new_state, (old_state, tag) in mapping.items():
+        for new_state, (old_state, tag) in state_map.items():
             if old_state not in m.universe or tag not in m.agents:
                 raise ClaimSpecMismatch("state map points outside the source")
         pairs = [((old_state, tag, EvalMode.INNERMOST),
                   (new_state, 1, EvalMode.COMMON))
-                 for new_state, (old_state, tag) in sorted(mapping.items())]
+                 for new_state, (old_state, tag) in sorted(state_map.items())]
     elif claim.kind == "label-partitions":
         if not is_common_interpretation(m):
             raise ClaimSpecMismatch(

@@ -544,6 +544,15 @@ def test_check_unknown_check_usage_error(capsys):
     assert main(["check", "--checks", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_check_empty_check_list_usage_error(checks, capsys):
+    # Running no check would be a vacuous pass.
+    assert main(["check", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no checks selected\n"
+
+
 # --- Every message that echoes an input value bounds it (errors.shown) ---
 
 def _edited(name, edit, text_edit=None):

@@ -1,3 +1,4 @@
+import ast
 import doctest
 import gc
 import importlib
@@ -17,9 +18,11 @@ import pytest
 import ambilogic
 from ambilogic import campaign
 from ambilogic import formula as fm
-from ambilogic.campaign import Campaign, run_campaign
+from ambilogic.campaign import (Campaign, CampaignReport, CheckResult,
+                                run_campaign)
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
+from ambilogic.reporting import Report, Violation
 from ambilogic.semantics import Evaluator
 from ambilogic.structure import CellBeliefs
 from ambilogic.transforms import TransformClaim
@@ -75,12 +78,33 @@ def test_import_loads_no_dataclasses_or_inspect():
     (m_red(), "priors"),
     (GenBounds(), "max_states"),
     (TransformClaim("fix-interpretation", 1), "agent"),
+    (Violation("measure-sum", "cell sums to 2"), "context"),
+    (Report(), "entries"),
+    (CheckResult("prop1"), "failures"),
+    (CampaignReport(Campaign()), "results"),
 ])
 def test_value_classes_refuse_assignment(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
+
+
+def test_report_and_campaign_records_print_their_fields():
+    violation = Violation("measure-sum", "cell sums to 2", {"agent": 1})
+    result = CheckResult("prop1", 2, 1, {"trial": 0}, 0.25)
+    shown = ("Violation(kind='measure-sum', message='cell sums to 2', "
+             "context={'agent': 1})")
+    assert repr(violation) == shown
+    assert repr(Report([violation])) == "Report(entries=[%s])" % shown
+    shown = ("CheckResult(name='prop1', trials=2, failures=1, "
+             "first_counterexample={'trial': 0}, elapsed_s=0.25)")
+    assert repr(result) == shown
+    assert repr(CampaignReport(Campaign(seed=1, trials=2, checks=("prop1",)),
+                               {"prop1": result})) == (
+        "CampaignReport(campaign=Campaign(seed=1, trials=2, bounds="
+        "GenBounds(max_states=5, max_agents=3, max_props=3, max_depth=4), "
+        "checks=('prop1',), naive_cb=False), results={'prop1': %s})" % shown)
 
 
 def test_equal_formulas_built_apart_are_equal_and_hash_equal():
@@ -144,6 +168,17 @@ def _check_output(hash_seed, *extra):
                                    proc.stdout)
 
 
+@pytest.mark.parametrize("extra, status, golden", [
+    ((), 0, "check-seed42-trials60.txt"),
+    (("--naive-cb",), 1, "check-seed42-trials60-naive-cb.txt"),
+])
+def test_check_output_is_unchanged(extra, status, golden):
+    """``check`` prints the committed report byte for byte, timings aside,
+    a failing campaign's counterexamples included."""
+    expected = (ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8")
+    assert _check_output("0", *extra) == (status, expected)
+
+
 def test_check_output_does_not_depend_on_the_hash_seed():
     """Modes and formula nodes hash by identity and strings by the hash
     seed; none of them may reach the output, a failing campaign's
@@ -193,3 +228,33 @@ def test_gen_bounds_round_trip_through_vars():
                             "max_props": 3, "max_depth": 2}
     assert GenBounds(**vars(bounds)) == bounds
     assert GenBounds(**vars(GenBounds())) == GenBounds()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    """No module of the package imports a ``_``-prefixed name, or reads
+    one through a module it imported; dunder names are not private."""
+    found = []
+    for path in sorted((ROOT / "src" / "ambilogic").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # the names this module binds to modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name).split(".")[0]
+                               for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found += [(path.name, node.lineno, alias.name)
+                          for alias in node.names if _private(alias.name)]
+                if node.module is None:  # ``from . import formula as fm``
+                    modules.update(alias.asname or alias.name
+                                   for alias in node.names)
+        found += [(path.name, node.lineno, node.value.id + "." + node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []

@@ -14,7 +14,6 @@ from ambilogic.structure import (
     validate_signals,
 )
 from ambilogic.transforms import (
-    StateMap,
     TransformClaim,
     disjoint_copies,
     fix_interpretation,
@@ -61,7 +60,7 @@ def test_disjoint_copies_shape():
     m = m_red()
     copies, state_map = disjoint_copies(m)
     assert copies.states == ("w1#1", "w1#2", "w2#1", "w2#2")
-    assert state_map.mapping["w1#2"] == ("w1", 2)
+    assert state_map["w1#2"] == ("w1", 2)
     assert is_common_interpretation(copies)
     assert validate_core(copies).ok
     # interpretation on a tagged state is the tag agent's original reading
@@ -276,8 +275,8 @@ def _shifted_copies(rng, m):
     # Each copy claimed for the next agent's tag.
     copies, state_map = disjoint_copies(m)
     shifted = {new: (old, tag % m.n_agents + 1)
-               for new, (old, tag) in state_map.mapping.items()}
-    return (copies, StateMap(shifted), TransformClaim("disjoint-copies"),
+               for new, (old, tag) in state_map.items()}
+    return (copies, shifted, TransformClaim("disjoint-copies"),
             [((old, tag, IN), (new, 1, COMMON))
              for new, (old, tag) in sorted(shifted.items())])
 
