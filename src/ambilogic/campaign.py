@@ -23,7 +23,7 @@ from .generators import (
     random_structure,
 )
 from .modes import EvalMode
-from .semantics import Evaluator
+from .semantics import Evaluator, disagreements
 from .structure import (
     Structure,
     generate_priors,
@@ -163,24 +163,16 @@ def _check_prop1(rng, bounds, _hook):
 def _modes_agree(m: Structure, corpus, modes) -> tuple:
     """Whether every query of the corpus gets one answer in all ``modes``,
     and the first counterexample, in (formula, state, agent) order, if not.
-    Each (formula, agent) asks one extension per mode, at the first state;
-    later states are walked only if some agent's extensions differ."""
+    Each mode's query is paired with the first mode's."""
     ev = Evaluator(m)
-    for f in corpus:
-        exts = {}
-        for s in m.states:
-            for i in m.agents:
-                if i not in exts:
-                    exts[i] = [ev.extension(i, f, mode) for mode in modes]
-                values = {mode.value: s in ext
-                          for mode, ext in zip(modes, exts[i])}
-                if len(set(values.values())) != 1:
-                    return False, _counterexample(m, None, {
-                        "query": {"state": s, "agent": i,
-                                  "formula": fm.print_formula(f)},
-                        "values": values})
-            if all(len(set(got)) == 1 for got in exts.values()):
-                break
+    pairs = (((s, i, f, modes[0]), (s, i, f, mode)) for f in corpus
+             for s in m.states for i in m.agents for mode in modes[1:])
+    for ((s, i, f, _), _), _, _ in disagreements(ev, ev, pairs):
+        return False, _counterexample(m, None, {
+            "query": {"state": s, "agent": i,
+                      "formula": fm.print_formula(f)},
+            "values": {mode.value: s in ev.extension(i, f, mode)
+                       for mode in modes}})
     return True, None
 
 
@@ -252,6 +244,9 @@ class Campaign(fm.Frozen):
         unknown = ", ".join(sorted(set(checks) - set(CHECK_NAMES)))
         if unknown:
             raise ValueError("unknown checks: " + shown(unknown, quoted=False))
+        twice = ", ".join(sorted({c for c in checks if checks.count(c) > 1}))
+        if twice:
+            raise ValueError("repeated checks: " + shown(twice, quoted=False))
         self._init(seed, trials, GenBounds() if bounds is None else bounds,
                    checks, naive_cb)
 

@@ -64,7 +64,7 @@ from .reporting import Report
 from .structure import (CellBeliefs, Structure, is_common_interpretation,
                         over_lcm, validate_core, validate_signals)
 
-__all__ = ["EvalMode", "Evaluator", "valid_in_model"]
+__all__ = ["EvalMode", "Evaluator", "disagreements", "valid_in_model"]
 
 # Signal violations that block the innermost signal mode; the outermost one
 # needs every signal check to pass.
@@ -453,6 +453,19 @@ class Evaluator:
                     j, event = undefined[s]
                     raise self._undefined(j, s, event)
         return self._universe - bad
+
+
+def disagreements(left: Evaluator, right: Evaluator, pairs):
+    """Yield ``(pair, left's answer, right's answer)`` for each pair, in
+    order, that ``left`` and ``right`` answer differently.  A pair is a
+    query to each, ``(state, agent, formula, mode)``, answered through the
+    evaluator's cached ``extension``."""
+    for pair in pairs:
+        (s, i, f, mode), (t, j, g, other) = pair
+        on_left = s in left.extension(i, f, mode)
+        on_right = t in right.extension(j, g, other)
+        if on_left != on_right:
+            yield pair, on_left, on_right
 
 
 def valid_in_model(m: Structure, f, mode: EvalMode) -> Report:

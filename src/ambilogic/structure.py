@@ -290,11 +290,11 @@ def validate_core(m: Structure) -> Report:
                 report.add("partition-cover",
                            "agent %d: cell mentions unknown states %s"
                            % (i, sorted(cell - universe)), agent=i, cell=ci)
-        if seen != universe:
+        missing = sorted(universe - seen)
+        if missing:  # a cell's unknown states are reported above
             report.add("partition-cover",
                        "agent %d: partition misses states %s"
-                       % (i, sorted(universe - seen)), agent=i,
-                       states=sorted(universe - seen))
+                       % (i, missing), agent=i, states=missing)
 
     for i in m.agents:
         for ci, (cell, cb) in enumerate(zip(m.partitions[i], m.beliefs[i])):

@@ -25,7 +25,7 @@ from . import formula as fm
 from .errors import ClaimSpecMismatch, NotCommonInterpretation
 from .modes import EvalMode
 from .reporting import Report
-from .semantics import Evaluator
+from .semantics import Evaluator, disagreements
 from .structure import (
     CellBeliefs,
     Structure,
@@ -246,38 +246,15 @@ def verify_transform_equivalence(m: Structure, transformed: Structure,
                  for s in transformed.states for i in m.agents]
     else:
         raise ClaimSpecMismatch("unknown claim kind %r" % claim.kind)
-    # The pairs that share their (agent, mode) queries form a block, in the
-    # order the pairs first name it: each of the original's states with the
-    # result's states paired with it.  A result state is paired once per
-    # block, so the block holds iff the result's extension, within the
-    # block, is the image of the original's.  Each formula asks each
-    # block's two extensions once; only a formula where a block differs
-    # walks the pairs, in order.
-    blocks = {}
-    for (s, i, mode), (new_state, j, new_mode) in pairs:
-        block = blocks.setdefault(((i, mode), (j, new_mode)), {})
-        block.setdefault(s, set()).add(new_state)
-    blocks = [(query, new_query, paired, frozenset(paired),
-               frozenset().union(*paired.values()))
-              for (query, new_query), paired in blocks.items()]
-    for f in formulas:
-        differ = False
-        for (i, mode), (j, new_mode), paired, old, new in blocks:
-            left = ev_orig.extension(i, f, mode)
-            right = ev_new.extension(j, f, new_mode)
-            image = frozenset().union(*map(paired.__getitem__, left & old))
-            differ |= image != right & new
-        if not differ:
-            continue
-        for (s, i, mode), (new_state, j, new_mode) in pairs:
-            left = s in ev_orig.extension(i, f, mode)
-            right = new_state in ev_new.extension(j, f, new_mode)
-            if left != right:
-                report.add(
-                    "transform-mismatch",
-                    "%s: %s evaluates %s originally but %s after the "
-                    "transform" % (claim.kind, fm.print_formula(f), left,
-                                   right),
-                    formula=fm.print_formula(f), state=new_state, agent=i,
-                    original=left, transformed=right)
+    queries = (((s, i, f, mode), (new_state, j, f, new_mode))
+               for f in formulas
+               for (s, i, mode), (new_state, j, new_mode) in pairs)
+    for ((_, i, f, _), (new_state, _, _, _)), left, right in disagreements(
+            ev_orig, ev_new, queries):
+        report.add(
+            "transform-mismatch",
+            "%s: %s evaluates %s originally but %s after the "
+            "transform" % (claim.kind, fm.print_formula(f), left, right),
+            formula=fm.print_formula(f), state=new_state, agent=i,
+            original=left, transformed=right)
     return report

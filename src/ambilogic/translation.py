@@ -23,7 +23,7 @@ from . import formula as fm
 from .errors import AlreadyIndexed
 from .modes import EvalMode
 from .reporting import Report
-from .semantics import Evaluator
+from .semantics import Evaluator, disagreements
 from .structure import Structure
 
 __all__ = [
@@ -121,9 +121,9 @@ def verify_theorem2(m: Structure, corpus, directions=("in", "ou"),
                     naive_cb: bool = False) -> Report:
     """Check that ambiguous evaluation matches common-mode evaluation of the
     translations on the lifted structure, for every formula in the corpus,
-    every state, and every agent.  Each (formula, agent, direction) compares
-    two whole extensions; only where they differ are states walked, in
-    ``states`` order, each giving one report entry.
+    every state, and every agent.  Each formula's queries are paired in
+    (agent, direction, state) order, and each pair answered differently
+    gives one report entry.
 
     ``directions`` selects the innermost and/or outermost claim.  With
     ``naive_cb`` the innermost direction uses the known-bad common-belief
@@ -135,32 +135,29 @@ def verify_theorem2(m: Structure, corpus, directions=("in", "ou"),
     ev = Evaluator(m)
     ev_lifted = Evaluator(lifted)
     taut = m.props[0]
+    translators = []
+    if "in" in directions:
+        translators.append((EvalMode.INNERMOST,
+                            translate_in_naive if naive_cb else translate_in))
+    if "ou" in directions:
+        translators.append((EvalMode.OUTERMOST, translate_ou))
     for f in corpus:
+        pairs = []
         for i in m.agents:
-            pairs = []
-            if "in" in directions:
-                translator = translate_in_naive if naive_cb else translate_in
-                pairs.append(("in", EvalMode.INNERMOST,
-                              translator(f, i, taut)))
-            if "ou" in directions:
-                pairs.append(("ou", EvalMode.OUTERMOST,
-                              translate_ou(f, i, taut)))
-            for label, mode, translated in pairs:
-                ext = ev.extension(i, f, mode)
-                lifted_ext = ev_lifted.extension(i, translated,
-                                                 EvalMode.COMMON)
-                if ext == lifted_ext:
-                    continue
-                diverge = ext ^ lifted_ext
-                for s in filter(diverge.__contains__, m.states):
-                    left, right = s in ext, s in lifted_ext
-                    report.add(
-                        "translation-mismatch",
-                        "%s-translation of %s diverges at (%s, %d): "
-                        "%s vs %s" % (label, fm.print_formula(f), s, i,
-                                      left, right),
-                        direction=label, state=s, agent=i,
-                        formula=fm.print_formula(f),
-                        translated=fm.print_formula(translated),
-                        original=left, lifted=right)
+            for mode, translator in translators:
+                translated = translator(f, i, taut)
+                pairs += [((s, i, f, mode), (s, i, translated,
+                                             EvalMode.COMMON))
+                          for s in m.states]
+        for ((s, i, _, mode), (_, _, translated, _)), left, right in (
+                disagreements(ev, ev_lifted, pairs)):
+            report.add(
+                "translation-mismatch",
+                "%s-translation of %s diverges at (%s, %d): "
+                "%s vs %s" % (mode.value, fm.print_formula(f), s, i,
+                              left, right),
+                direction=mode.value, state=s, agent=i,
+                formula=fm.print_formula(f),
+                translated=fm.print_formula(translated),
+                original=left, lifted=right)
     return report

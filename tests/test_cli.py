@@ -4,6 +4,7 @@ import pytest
 
 from ambilogic import cli, semantics
 from ambilogic import formula as fm
+from ambilogic.campaign import Campaign
 from ambilogic.cli import main
 from ambilogic.modes import EvalMode
 from ambilogic.structure import (dump_structure, load_structure,
@@ -79,6 +80,18 @@ def test_eval_equality_value(red_path, capsys):
           "--state", "w1", "--agent", "1", "--mode", "ou", "--show-value"])
     out = capsys.readouterr().out.splitlines()
     assert out == ["true", "value = 1/2"]
+
+
+@pytest.mark.parametrize("extra, line", [
+    ((), '{"result": true, "value": null}'),
+    (("--show-value",), '{"result": true, "value": "1/2"}'),
+])
+def test_eval_json(extra, line, red_path, capsys):
+    code = main(["eval", "--model", red_path, "--formula", "Pr2(p) >= 1/2",
+                 "--state", "w1", "--agent", "1", "--mode", "ou", "--json",
+                 *extra])
+    assert code == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_eval_signal_mode(ai_path, capsys):
@@ -551,6 +564,20 @@ def test_check_empty_check_list_usage_error(checks, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no checks selected\n"
+
+
+@pytest.mark.parametrize("checks, named", [
+    ("prop1,prop1", "prop1"),
+    ("prop1, thm1-ab,prop1,thm1-ab,prop1", "prop1, thm1-ab"),
+])
+def test_check_repeated_check_usage_error(checks, named, capsys):
+    # A check named twice would run twice and be reported once.
+    assert main(["check", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated checks: %s\n" % named
+    with pytest.raises(ValueError, match="^repeated checks: prop1$"):
+        Campaign(checks=("prop1",) * 3)
 
 
 # --- Every message that echoes an input value bounds it (errors.shown) ---

@@ -26,7 +26,7 @@ from ambilogic.generators import (
 )
 from ambilogic.modes import EvalMode
 from ambilogic.campaign import CHECK_NAMES, Campaign, run_campaign
-from ambilogic.semantics import Evaluator, valid_in_model
+from ambilogic.semantics import Evaluator, disagreements, valid_in_model
 from ambilogic.structure import (
     CellBeliefs,
     Structure,
@@ -240,6 +240,43 @@ def test_common_mode_requires_common_interpretation():
     with pytest.raises(ModePrereqMissing):
         Evaluator(m_red()).evaluate("w1", 1, fm.parse("p"), COMMON)
     assert Evaluator(m_ck()).evaluate("w1", 1, fm.parse("!p | p"), COMMON)
+
+
+def test_a_failing_mode_raises_on_every_ask():
+    """The mode's check runs once per ``Evaluator``; its verdict is kept,
+    and every later ask in that mode raises the same error."""
+    ev = Evaluator(m_red())
+    asks = [lambda: ev.evaluate("w1", 1, fm.parse("p"), COMMON),
+            lambda: ev.evaluate("w1", 1, fm.parse("p"), COMMON),
+            lambda: ev.extension(2, fm.parse("B1 p"), COMMON),
+            lambda: ev.common_belief_set({1, 2}, fm.parse("p"), COMMON, 1),
+            lambda: ev.eb_k({1}, fm.parse("p"), 2, COMMON, 2)]
+    messages = set()
+    for ask in asks:
+        with pytest.raises(ModePrereqMissing) as exc:
+            ask()
+        messages.add(str(exc.value))
+    assert messages == {"common mode needs a common interpretation; "
+                        "agents disagree on some proposition"}
+    assert ev.evaluate("w1", 1, fm.parse("p"), OU)  # other modes answer
+
+
+def test_disagreements_yields_each_pair_answered_differently_in_order():
+    m = m_red()
+    left, right = Evaluator(m), Evaluator(m_ck())
+    corpus = [fm.parse("p"), fm.parse("B2 p"), fm.parse("Pr2(p) >= 1/2")]
+    pairs = [((s, i, f, IN), (s, i, f, mode)) for f in corpus
+             for s in m.states for i in m.agents for mode in (OU, COMMON)]
+    want = []
+    for pair in pairs:
+        (s, i, f, mode), (t, j, g, other) = pair
+        on_left = left.evaluate(s, i, f, mode)
+        on_right = right.evaluate(t, j, g, other)
+        if on_left != on_right:
+            want.append((pair, on_left, on_right))
+    got = list(disagreements(left, right, iter(pairs)))
+    assert got == want and len(got) >= 2
+    assert list(disagreements(left, left, [(q, q) for q, _ in pairs])) == []
 
 
 def test_indexed_props_only_in_common_mode():

@@ -166,6 +166,73 @@ def test_validate_core_flags_partition_problems():
     assert "partition-cover" in validate_core(bad).kinds()
 
 
+def _with_empty_cell():
+    blob = structure_to_dict(m_red())
+    blob["partitions"]["1"].append([])
+    blob["beliefs"]["1"].append({"measure": {}})
+    return loads_structure(json.dumps(blob))
+
+
+def _with_cell(*cell):
+    # Agent 1's second cell is ``cell``, point masses on its states.
+    m = m_red()
+    cell = frozenset(cell)
+    masses = {s: Fraction(s == max(cell)) for s in cell}
+    return m.replace(
+        partitions={1: (m.partitions[1][0], cell), 2: m.partitions[2]},
+        beliefs={1: (m.beliefs[1][0], singleton_cell(cell, masses)),
+                 2: m.beliefs[2]})
+
+
+def _with_p_of_1(*states):
+    m = m_red()
+    return m.replace(interpretations={
+        1: {"p": frozenset(states)}, 2: m.interpretations[2]})
+
+
+def _with_prior_of_2(prior):
+    return m_red().replace(priors={1: {"w1": HALF, "w2": HALF}, 2: prior})
+
+
+@pytest.mark.parametrize("build, entries", [
+    (_with_empty_cell, [
+        ("partition-empty-cell", "agent 1 has an empty cell",
+         {"agent": 1, "cell": 2}),
+        ("measure-sum", "agent 1 cell 2 masses sum to 0, not 1",
+         {"agent": 1, "cell": 2, "total": "0"})]),
+    # A cell naming an undeclared state is reported once: no state is
+    # missed, so there is no "misses states []" entry.
+    (lambda: _with_cell("w2", "x"), [
+        ("partition-cover", "agent 1: cell mentions unknown states ['x']",
+         {"agent": 1, "cell": 1})]),
+    (lambda: _with_cell("x"), [
+        ("partition-cover", "agent 1: cell mentions unknown states ['x']",
+         {"agent": 1, "cell": 1}),
+        ("partition-cover", "agent 1: partition misses states ['w2']",
+         {"agent": 1, "states": ["w2"]})]),
+    # The loader refuses unknown states first, so these go through
+    # ``Structure``.
+    (lambda: _with_p_of_1("w1", "x"), [
+        ("interpretation-range", "agent 1 maps p to unknown states ['x']",
+         {"agent": 1, "prop": "p"})]),
+    (lambda: _with_prior_of_2({"w1": HALF, "x": HALF}), [
+        ("prior-range", "agent 2 prior mentions unknown states",
+         {"agent": 2})]),
+], ids=["empty-cell", "unknown-state", "unknown-and-missed-states",
+        "interpretation-range", "prior-range"])
+def test_validate_core_reports_each_violation_with_its_context(build,
+                                                                entries):
+    got = [(v.kind, v.message, v.context)
+           for v in validate_core(build()).entries]
+    assert got == entries
+
+
+def test_loader_refuses_a_structure_that_is_not_an_object():
+    with pytest.raises(ModelFormatError) as exc:
+        loads_structure("[]")
+    assert str(exc.value) == "structure file must be a JSON object"
+
+
 def test_validate_signals_fixtures():
     assert validate_signals(m_sig()).ok
     assert validate_signals(m_ai()).ok

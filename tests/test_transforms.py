@@ -4,19 +4,26 @@ from fractions import Fraction
 import pytest
 
 from ambilogic import formula as fm
-from ambilogic.errors import ClaimSpecMismatch, NotCommonInterpretation
+from ambilogic.errors import (
+    ClaimSpecMismatch,
+    CoreInvalid,
+    NotCommonInterpretation,
+)
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
 from ambilogic.semantics import Evaluator
 from ambilogic.structure import (
     is_common_interpretation,
+    singleton_cell,
     validate_core,
     validate_signals,
 )
 from ambilogic.transforms import (
     TransformClaim,
+    attach_cell_signals,
     disjoint_copies,
     fix_interpretation,
+    fresh_names,
     label_partitions,
     verify_transform_equivalence,
 )
@@ -197,6 +204,72 @@ def test_verifier_rejects_inconsistent_claims():
     with pytest.raises(ClaimSpecMismatch):
         verify_transform_equivalence(
             m, fixed, None, CORPUS, TransformClaim("nonsense"))
+
+
+def _claim_cases():
+    m = m_red()
+    fixed = fix_interpretation(m, 1)
+    copies, state_map = disjoint_copies(m)
+    labelled, _ = label_partitions(m_ck(), "w1")
+    return {
+        "fix-agent": (m, fixed, None,
+                      TransformClaim("fix-interpretation", agent=3),
+                      "fix-interpretation claim needs the agent"),
+        "fix-states": (m, copies, None,
+                       TransformClaim("fix-interpretation", agent=1),
+                       "fix-interpretation must keep the states"),
+        "copies-partial-map": (
+            m, copies, dict(list(state_map.items())[1:]),
+            TransformClaim("disjoint-copies"),
+            "disjoint-copies claim needs a total state map"),
+        "copies-outside": (
+            m, copies, {**state_map, "w1#1": ("w9", 1)},
+            TransformClaim("disjoint-copies"),
+            "state map points outside the source"),
+        "copies-bad-tag": (
+            m, copies, {**state_map, "w1#1": ("w1", 3)},
+            TransformClaim("disjoint-copies"),
+            "state map points outside the source"),
+        "labels-not-common": (
+            m, labelled, None, TransformClaim("label-partitions"),
+            "label-partitions equivalence starts from a "
+            "common-interpretation structure"),
+        "labels-new-states": (
+            m_ck(), copies, None, TransformClaim("label-partitions"),
+            "label-partitions must restrict the states"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_claim_cases()))
+def test_verifier_refuses_each_claim_that_does_not_fit(case):
+    m, transformed, state_map, claim, message = _claim_cases()[case]
+    with pytest.raises(ClaimSpecMismatch) as exc:
+        verify_transform_equivalence(m, transformed, state_map, CORPUS,
+                                     claim)
+    assert str(exc.value) == message
+
+
+def test_verifier_refuses_an_invalid_structure_before_the_claim():
+    m = m_red()
+    broken = m.replace(beliefs={1: m.beliefs[1], 2: (singleton_cell(
+        m.partitions[2][0], {"w1": Fraction(1), "w2": Fraction(1)}),)})
+    with pytest.raises(CoreInvalid):
+        verify_transform_equivalence(m, broken, None, CORPUS,
+                                     TransformClaim("nonsense"))
+
+
+def test_cell_labels_skip_declared_names():
+    m = m_red()
+    taken = m.replace(props=("p", "p_1_c0"), interpretations={
+        i: {**m.interpretations[i], "p_1_c0": frozenset()}
+        for i in m.agents})
+    labelled, table = attach_cell_signals(taken)
+    assert table == {"p_1_c0_2": (1, frozenset({"w1"})),
+                     "p_1_c1": (1, frozenset({"w2"})),
+                     "p_2_c0": (2, frozenset({"w1", "w2"}))}
+    assert labelled.props == ("p", "p_1_c0", "p_1_c0_2", "p_1_c1", "p_2_c0")
+    assert labelled.interpretations[1]["p_1_c0"] == frozenset()
+    assert fresh_names(["a", "a", "b"], {"a", "a_2"}) == ["a_3", "a_4", "b"]
 
 
 def test_transform_equivalences_on_random_structures():
