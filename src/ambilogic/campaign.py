@@ -1,9 +1,9 @@
 """Randomized verification campaigns over generated structures.
 
 Each check replays one proved equivalence on freshly generated inputs, so
-any failure is an implementation bug; the first counterexample is recorded
-with enough context (serialized structure, query, both truth values) to be
-re-run in isolation.  Campaigns are deterministic given their seed.
+any failure is an implementation bug.  A check returns its structure and a
+``Report``; the first failure is kept as the structure, the first violation
+and the trial index.  Campaigns are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .generators import (
     random_structure,
 )
 from .modes import EvalMode
+from .reporting import Report, Violation
 from .semantics import Evaluator, disagreements
 from .structure import (
     Structure,
@@ -82,116 +83,103 @@ class CampaignReport(fm.Frozen):
         }
 
 
-def _counterexample(m: Structure, report, extra=None) -> dict:
-    out = {"structure": structure_to_dict(m)}
-    if report is not None and report.entries:
-        first = report.entries[0]
-        out["mismatch"] = first.to_dict()
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _check_thm1_ab(rng, bounds, _hook):
+def _check_thm1_ab(rng, bounds):
     m = random_structure(rng, bounds)
     agent = rng.randint(1, m.n_agents)
     fixed = fix_interpretation(m, agent)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth)
-    report = verify_transform_equivalence(
+    return m, verify_transform_equivalence(
         m, fixed, None, corpus,
         TransformClaim("fix-interpretation", agent=agent))
-    return report.ok, None if report.ok else _counterexample(m, report)
 
 
-def _check_thm1_ac(rng, bounds, _hook):
+def _check_thm1_ac(rng, bounds):
     m = random_structure(rng, bounds)
     copies, state_map = disjoint_copies(m)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth)
-    report = verify_transform_equivalence(
+    return m, verify_transform_equivalence(
         m, copies, state_map, corpus, TransformClaim("disjoint-copies"))
-    return report.ok, None if report.ok else _counterexample(m, report)
 
 
-def _check_thm1_da(rng, bounds, _hook):
+def _check_thm1_da(rng, bounds):
     m = random_structure(rng, bounds, common=True)
     state = rng.choice(m.states)
     labelled, _ = label_partitions(m, state)
-    corpus = formula_corpus(rng, m, 4, bounds.max_depth, props=m.props)
-    if not validate_core(labelled).ok or not validate_signals(labelled).ok:
-        return False, _counterexample(labelled, None,
-                                      {"reason": "labelled structure invalid"})
-    report = verify_transform_equivalence(
-        m, labelled, None, corpus,
-        TransformClaim("label-partitions"))
-    return report.ok, None if report.ok else _counterexample(m, report)
+    corpus = formula_corpus(rng, m, 4, bounds.max_depth)
+    invalid = validate_core(labelled)
+    if invalid.ok:
+        invalid = validate_signals(labelled)
+    if not invalid.ok:
+        return labelled, invalid
+    return m, verify_transform_equivalence(
+        m, labelled, None, corpus, TransformClaim("label-partitions"))
 
 
-def _check_thm2(direction):
-    def check(rng, bounds, hook):
+def _check_thm2(direction, naive_cb=False):
+    def check(rng, bounds):
         m = random_structure(rng, bounds)
         corpus = formula_corpus(rng, m, 4, bounds.max_depth)
-        report = verify_theorem2(m, corpus, directions=(direction,),
-                                 naive_cb=hook and direction == "in")
-        return report.ok, None if report.ok else _counterexample(m, report)
+        return m, verify_theorem2(m, corpus, directions=(direction,),
+                                  naive_cb=naive_cb)
     return check
 
 
-def _check_prop1(rng, bounds, _hook):
+def _check_prop1(rng, bounds):
     m = random_structure(rng, bounds)
     priors = generate_priors(m)
+    report = Report()
     for i in m.agents:
         nu = priors[i]
         total = sum(nu.values(), Fraction(0))
         if total != 1:
-            return False, _counterexample(m, None, {
-                "reason": "prior of agent %d sums to %s" % (i, total)})
+            report.add("prior-sum", "prior of agent %d sums to %s"
+                       % (i, total), agent=i, total=str(total))
         for cell, cb in zip(m.partitions[i], m.beliefs[i]):
             cell_mass = sum((nu[s] for s in cell), Fraction(0))
             if cell_mass <= 0:
-                return False, _counterexample(m, None, {
-                    "reason": "cell of agent %d got prior mass %s"
-                              % (i, cell_mass)})
+                report.add("prior-cell-mass", "cell of agent %d got prior mass"
+                           " %s" % (i, cell_mass), agent=i, cell=sorted(cell))
+                continue
             for atom, mass in zip(cb.atoms, cb.masses):
-                atom_mass = sum((nu[s] for s in atom), Fraction(0))
-                if atom_mass / cell_mass != mass:
-                    return False, _counterexample(m, None, {
-                        "reason": "conditional of agent %d differs on atom %s"
-                                  % (i, sorted(atom))})
-    return True, None
+                if sum((nu[s] for s in atom), Fraction(0)) / cell_mass != mass:
+                    report.add("prior-conditional", "conditional of agent %d "
+                               "differs on atom %s" % (i, sorted(atom)),
+                               agent=i, atom=sorted(atom))
+    return m, report
 
 
-def _modes_agree(m: Structure, corpus, modes) -> tuple:
-    """Whether every query of the corpus gets one answer in all ``modes``,
-    and the first counterexample, in (formula, state, agent) order, if not.
+def _modes_agree(m: Structure, corpus, modes) -> Report:
+    """The first query of the corpus, in (formula, state, agent) order,
+    whose answer differs between ``modes``, as a ``mode-disagreement``.
     Each mode's query is paired with the first mode's."""
     ev = Evaluator(m)
     pairs = (((s, i, f, modes[0]), (s, i, f, mode)) for f in corpus
              for s in m.states for i in m.agents for mode in modes[1:])
     for ((s, i, f, _), _), _, _ in disagreements(ev, ev, pairs):
-        return False, _counterexample(m, None, {
-            "query": {"state": s, "agent": i,
-                      "formula": fm.print_formula(f)},
-            "values": {mode.value: s in ev.extension(i, f, mode)
-                       for mode in modes}})
-    return True, None
+        text = fm.print_formula(f)
+        values = {mode.value: s in ev.extension(i, f, mode) for mode in modes}
+        message = "modes split on %s at (%s, %d)" % (text, s, i)
+        return Report([Violation("mode-disagreement", message, dict(
+            state=s, agent=i, formula=text, values=values))])
+    return Report()
 
 
-def _check_mode_agreement(rng, bounds, _hook):
+def _check_mode_agreement(rng, bounds):
     m = random_structure(rng, bounds, common=True)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth)
-    return _modes_agree(m, corpus, (EvalMode.COMMON, EvalMode.OUTERMOST,
-                                    EvalMode.INNERMOST))
+    return m, _modes_agree(m, corpus, (EvalMode.COMMON, EvalMode.OUTERMOST,
+                                       EvalMode.INNERMOST))
 
 
-def _check_inai_eq_in(rng, bounds, _hook):
+def _check_inai_eq_in(rng, bounds):
     m = random_signal_structure(rng, bounds)
     corpus = formula_corpus(rng, m, 4, bounds.max_depth,
                             props=m.props[:bounds.max_props])
-    return _modes_agree(m, corpus, (EvalMode.INNERMOST,
-                                    EvalMode.INNERMOST_AI))
+    return m, _modes_agree(m, corpus, (EvalMode.INNERMOST,
+                                       EvalMode.INNERMOST_AI))
 
 
-def _check_cb_oracle(rng, bounds, _hook):
+def _check_cb_oracle(rng, bounds):
     m = random_structure(rng, bounds)
     group = random_group(rng, m.n_agents)
     f = random_core_formula(rng, list(m.props), m.n_agents,
@@ -205,12 +193,12 @@ def _check_cb_oracle(rng, bounds, _hook):
     for k in range(1, bound + 1):
         via_iteration &= ev.eb_k(group, f, k, mode, outer)
     if via_graph != via_iteration:
-        return False, _counterexample(m, None, {
-            "query": {"group": sorted(group), "mode": mode.value,
-                      "outer": outer, "formula": fm.print_formula(f)},
-            "values": {"reachability": sorted(via_graph),
-                       "iterated": sorted(via_iteration)}})
-    return True, None
+        return m, Report([Violation(
+            "cb-mismatch", "reachability and iterated E^k disagree",
+            dict(group=sorted(group), mode=mode.value, outer=outer,
+                 formula=fm.print_formula(f), reachability=sorted(via_graph),
+                 iterated=sorted(via_iteration)))])
+    return m, Report()
 
 
 _CHECK_FNS = {
@@ -247,8 +235,12 @@ class Campaign(fm.Frozen):
         twice = ", ".join(sorted({c for c in checks if checks.count(c) > 1}))
         if twice:
             raise ValueError("repeated checks: " + shown(twice, quoted=False))
-        self._init(seed, trials, GenBounds() if bounds is None else bounds,
-                   checks, naive_cb)
+        bounds = GenBounds() if bounds is None else bounds
+        if bounds.max_depth >= fm.MAX_DEPTH:
+            raise ValueError("max_depth must be at most %d: formulas drawn "
+                             "nest one level deeper, and at most %d levels "
+                             "are supported" % (fm.MAX_DEPTH - 1, fm.MAX_DEPTH))
+        self._init(seed, trials, bounds, checks, naive_cb)
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
@@ -257,18 +249,19 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     Each trial is seeded from (campaign seed, check name, trial index), so
     reports are reproducible and independent of check order.
     """
+    fns = {**_CHECK_FNS, "thm2-in": _check_thm2("in", campaign.naive_cb)}
     results = {}
     for name in campaign.checks:
-        fn = _CHECK_FNS[name]
         failures, first = 0, None
         started = time.perf_counter()
         for trial in range(campaign.trials):
             rng = random.Random("%d/%s/%d" % (campaign.seed, name, trial))
-            ok, counterexample = fn(rng, campaign.bounds, campaign.naive_cb)
-            if not ok:
+            m, report = fns[name](rng, campaign.bounds)
+            if not report.ok:
                 failures += 1
                 if first is None:
-                    first = dict(counterexample or {}, trial=trial)
+                    first = dict(structure=structure_to_dict(m), trial=trial,
+                                 mismatch=report.entries[0].to_dict())
         results[name] = CheckResult(
             name, campaign.trials, failures, first,
             round(time.perf_counter() - started, 6))

@@ -456,9 +456,10 @@ class _Parser:
                 power = 1
                 if self._peek()[:2] == ("op", "^"):
                     self._next()
+                    at = self._peek()[2]
                     power = self._nat("power")
                     if power < 1:
-                        raise FormulaSyntaxError(offset, {"power >= 1"},
+                        raise FormulaSyntaxError(at, {"power >= 1"},
                                                  str(power))
                 return partial(EB, group, power)
         return None
@@ -480,9 +481,7 @@ class _Parser:
                 self._next()
                 return FalseF()
             if _PR_RE.match(text):
-                if self._peek(1)[:2] == ("op", "("):
-                    return self._probcmp()
-                self._fail({"'('"})
+                return self._probcmp()
             self._next()
             if self._peek()[:2] == ("op", "@"):
                 self._next()

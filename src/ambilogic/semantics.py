@@ -231,7 +231,7 @@ class Evaluator:
         possible (the edges the common-belief pass walks): from each state
         of each of j's spaces to the space's support.  Raises for the first
         state whose conditional is undefined."""
-        self.m.check_agents(j)
+        self.m.check_agents(j, outer)
         self._require_mode(mode)
         reader = j if mode.innermost_scope else outer
         spaces = self._defined_spaces(j, mode, reader)

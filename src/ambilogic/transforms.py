@@ -53,6 +53,7 @@ class TransformClaim(fm.Frozen):
 
 def fix_interpretation(m: Structure, agent: int) -> Structure:
     """Copy of ``m`` in which every agent uses ``agent``'s interpretation."""
+    m.check_agents(agent)
     shared = dict(m.interpretations[agent])
     return m.replace(interpretations={i: dict(shared) for i in m.agents})
 

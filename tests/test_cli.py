@@ -5,6 +5,7 @@ import pytest
 from ambilogic import cli, semantics
 from ambilogic import formula as fm
 from ambilogic.campaign import Campaign
+from ambilogic.generators import GenBounds
 from ambilogic.cli import main
 from ambilogic.modes import EvalMode
 from ambilogic.structure import (dump_structure, load_structure,
@@ -477,6 +478,19 @@ def test_transform_fix_interpretation(red_path, capsys):
     assert model.interpretations[1]["p"] == frozenset({"w1", "w2"})
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fix-interpretation", "--agent", "99"], "agent 99 not in 1..2"),
+    (["fix-interpretation", "--agent", "0"], "agent 0 not in 1..2"),
+    (["fix-interpretation"], "fix-interpretation needs --agent"),
+    (["label-partitions"], "label-partitions needs --state"),
+])
+def test_transform_refuses_a_missing_or_unknown_argument(argv, message,
+                                                         red_path, capsys):
+    assert main(["transform", *argv, "--model", red_path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
 def test_translate(capsys):
     assert main(["translate", "--formula", "CB{1,2} p", "--agent", "1",
                  "--mode", "in"]) == 0
@@ -547,6 +561,20 @@ def test_check_full_campaign_seed_42(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert sum(c["failures"] for c in report["checks"].values()) == 0
+
+
+def test_check_refuses_a_depth_past_the_formula_limit(capsys):
+    """Drawn formulas nest one level past ``max_depth``, and translation
+    and printing refuse formulas nested over ``fm.MAX_DEPTH``."""
+    message = ("max_depth must be at most 99: formulas drawn nest one level "
+               "deeper, and at most 100 levels are supported")
+    assert main(["check", "--trials", "5", "--max-depth", "150",
+                 "--checks", "thm2-in"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Campaign(bounds=GenBounds(max_depth=fm.MAX_DEPTH))
+    Campaign(bounds=GenBounds(max_depth=fm.MAX_DEPTH - 1))
 
 
 def test_check_zero_trials_usage_error(capsys):

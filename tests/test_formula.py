@@ -76,6 +76,27 @@ def test_parse_errors_carry_offset_and_expectations():
         fm.parse("")
 
 
+@pytest.mark.parametrize("text, offset, expected, found", [
+    ("Pr1 p >= 1", 4, "'('", "p"),
+    ("E{1}^0 p", 5, "power >= 1", "0"),
+    ("p $ q", 2, "token", "$"),
+    ("2*q >= 1", 2, "'Pr<agent>('", "q"),
+])
+def test_parse_error_points_at_the_offending_token(text, offset, expected,
+                                                    found):
+    with pytest.raises(FormulaSyntaxError) as err:
+        fm.parse(text)
+    assert (err.value.offset, err.value.found) == (offset, found)
+    assert str(err.value) == ("syntax error at offset %d: expected %s, "
+                              "found %r" % (offset, expected, found))
+
+
+def test_group_belief_refuses_power_0():
+    with pytest.raises(ValueError,
+                       match=r"^group-belief power must be >= 1$"):
+        fm.EB({1}, 0, fm.Prop("p"))
+
+
 def test_parse_rejects_mixed_agents_in_one_comparison():
     with pytest.raises(FormulaSyntaxError) as err:
         fm.parse("Pr1(p) + Pr2(q) >= 1")

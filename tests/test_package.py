@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import ambilogic
-from ambilogic import campaign
+from ambilogic import campaign, transforms, translation
 from ambilogic import formula as fm
 from ambilogic.campaign import (Campaign, CampaignReport, CheckResult,
                                 run_campaign)
@@ -24,8 +24,9 @@ from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
 from ambilogic.reporting import Report, Violation
 from ambilogic.semantics import Evaluator
-from ambilogic.structure import CellBeliefs
-from ambilogic.transforms import TransformClaim
+from ambilogic.structure import (CellBeliefs, generate_priors,
+                                 structure_from_dict)
+from ambilogic.transforms import TransformClaim, label_partitions
 
 from demo_models import m_red
 
@@ -198,11 +199,13 @@ def _modes_agree_per_state(m, corpus, modes):
                 values = {mode.value: ev.evaluate(s, i, f, mode)
                           for mode in modes}
                 if len(set(values.values())) != 1:
-                    return False, campaign._counterexample(m, None, {
-                        "query": {"state": s, "agent": i,
-                                  "formula": fm.print_formula(f)},
-                        "values": values})
-    return True, None
+                    text = fm.print_formula(f)
+                    return Report([Violation(
+                        "mode-disagreement",
+                        "modes split on %s at (%s, %d)" % (text, s, i),
+                        {"state": s, "agent": i, "formula": text,
+                         "values": values})])
+    return Report()
 
 
 @pytest.mark.parametrize("common, modes", [
@@ -218,8 +221,104 @@ def test_modes_agree_finds_what_a_per_state_check_finds(common, modes):
         corpus = formula_corpus(rng, m, 4, 3)
         got = campaign._modes_agree(m, corpus, modes)
         assert got == _modes_agree_per_state(m, corpus, modes)
-        split += not got[0]
+        split += not got.ok
     assert split >= 10 if not common else split == 0
+
+
+def _complementing(method, mode=None):
+    """An ``Evaluator`` whose ``method`` answers the complement of the
+    right set of states: in ``mode`` only, if one is given."""
+    def wrong(self, *args):
+        right = getattr(Evaluator, method)(self, *args)
+        if mode not in (None, args[-1]):
+            return right
+        return self.m.universe - right
+
+    return type("Complementing", (Evaluator,), {method: wrong})
+
+
+def _drop_agent_1_cells(m, state):
+    labelled, table = label_partitions(m, state)
+    return labelled.replace(partitions={**labelled.partitions, 1: ()},
+                            beliefs={**labelled.beliefs, 1: ()}), table
+
+
+def _doubled_priors(m):
+    return {i: {s: 2 * mass for s, mass in nu.items()}
+            for i, nu in generate_priors(m).items()}
+
+
+def _point_priors(m):
+    return {i: {s: Fraction(s == m.states[0]) for s in m.states}
+            for i in m.agents}
+
+
+def _skewed_priors(m):
+    return {i: {"w1": Fraction(1, 3), "w2": Fraction(2, 3)}
+            for i in m.agents}
+
+
+# Per check: what breaks it, and the kind of violation it then reports.
+_BROKEN = {
+    "thm1-ab": (transforms, "Evaluator",
+                _complementing("extension", EvalMode.COMMON),
+                "transform-mismatch"),
+    "thm1-ac": (transforms, "Evaluator",
+                _complementing("extension", EvalMode.COMMON),
+                "transform-mismatch"),
+    "thm1-da": (campaign, "label_partitions", _drop_agent_1_cells,
+                "partition-cover"),
+    "thm2-in": (translation, "Evaluator",
+                _complementing("extension", EvalMode.COMMON),
+                "translation-mismatch"),
+    "thm2-ou": (translation, "Evaluator",
+                _complementing("extension", EvalMode.COMMON),
+                "translation-mismatch"),
+    "prop1": (campaign, "generate_priors", _doubled_priors, "prior-sum"),
+    "mode-agreement": (campaign, "Evaluator",
+                       _complementing("extension", EvalMode.INNERMOST),
+                       "mode-disagreement"),
+    "inai-eq-in": (campaign, "Evaluator",
+                   _complementing("extension", EvalMode.INNERMOST_AI),
+                   "mode-disagreement"),
+    "cb-oracle": (campaign, "Evaluator",
+                  _complementing("common_belief_set"), "cb-mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", campaign.CHECK_NAMES)
+def test_every_check_records_a_failure_in_one_format(name, monkeypatch):
+    """Each check, broken, fails every trial, and its first counterexample
+    is the drawn structure, the first violation and the trial index."""
+    module, attribute, broken, kind = _BROKEN[name]
+    monkeypatch.setattr(module, attribute, broken)
+    result = run_campaign(Campaign(seed=5, trials=3,
+                                   checks=(name,))).results[name]
+    assert result.failures == 3
+    counterexample = result.first_counterexample
+    assert sorted(counterexample) == ["mismatch", "structure", "trial"]
+    assert counterexample["trial"] == 0
+    assert sorted(counterexample["mismatch"]) == ["context", "kind",
+                                                  "message"]
+    assert counterexample["mismatch"]["kind"] == kind
+    structure_from_dict(counterexample["structure"])
+    assert json.loads(json.dumps(counterexample)) == counterexample
+
+
+@pytest.mark.parametrize("priors, kind, context", [
+    (_doubled_priors, "prior-sum", {"agent": 1, "total": "2"}),
+    (_point_priors, "prior-cell-mass", {"agent": 1, "cell": ["w2"]}),
+    (_skewed_priors, "prior-conditional", {"agent": 2, "atom": ["w1"]}),
+])
+def test_prop1_names_each_way_a_prior_can_fail(priors, kind, context,
+                                               monkeypatch):
+    """On m_red, the first violation names the agent and the total, cell
+    or atom at fault."""
+    monkeypatch.setattr(campaign, "random_structure", lambda *_: m_red())
+    monkeypatch.setattr(campaign, "generate_priors", priors)
+    result = run_campaign(Campaign(trials=1, checks=("prop1",)))
+    mismatch = result.results["prop1"].first_counterexample["mismatch"]
+    assert (mismatch["kind"], mismatch["context"]) == (kind, context)
 
 
 def test_gen_bounds_round_trip_through_vars():

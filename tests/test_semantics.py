@@ -100,6 +100,24 @@ def test_eb_k_examples():
     assert ev.eb_k({1}, p, 1, OU, 1) == frozenset({"w1"})
 
 
+@pytest.mark.parametrize("query, message", [
+    (lambda ev, p: ev.common_belief_set(set(), p, OU, 1),
+     "common-belief group must be nonempty"),
+    (lambda ev, p: ev.eb_k({1}, p, 0, OU, 1), "k must be >= 1"),
+    (lambda ev, p: ev.eb_k(set(), p, 1, OU, 1), "group must be nonempty"),
+])
+def test_group_queries_refuse_an_empty_group_or_level_0(query, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        query(Evaluator(m_red()), fm.parse("p"))
+
+
+@pytest.mark.parametrize("j, outer", [(99, 1), (1, 99), (1, 0)])
+def test_belief_edges_refuses_an_unknown_agent_or_outer_agent(j, outer):
+    with pytest.raises(UnknownAgent, match=r"^agent %d not in 1\.\.2$"
+                       % (99 if j == 99 else outer)):
+        Evaluator(m_red()).belief_edges(j, OU, outer)
+
+
 def test_eb_k_matches_literal_expansion():
     # the set iteration agrees with evaluating the expanded abbreviation
     m = m_red()

@@ -335,6 +335,18 @@ def test_reachable():
     assert reachable(m, {2}, "w2") == frozenset({"w1", "w2"})
     with pytest.raises(UnknownAgent):
         reachable(m, {3}, "w1")
+    with pytest.raises(ValueError, match="^group must be nonempty$"):
+        reachable(m, set(), "w1")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"n_agents": 0}, "need at least one agent"),
+    ({"states": ("w1", "w2", "w1")}, "states must be nonempty and unique"),
+    ({"props": ("p", "p")}, "propositions must be nonempty and unique"),
+])
+def test_structure_refuses_no_agents_or_repeated_names(edit, message):
+    with pytest.raises(ModelFormatError, match="^%s$" % message):
+        m_red().replace(**edit)
 
 
 def test_reachable_monotone_and_idempotent():

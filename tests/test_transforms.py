@@ -8,6 +8,7 @@ from ambilogic.errors import (
     ClaimSpecMismatch,
     CoreInvalid,
     NotCommonInterpretation,
+    UnknownAgent,
 )
 from ambilogic.generators import GenBounds, formula_corpus, random_structure
 from ambilogic.modes import EvalMode
@@ -297,9 +298,17 @@ def test_transform_equivalences_on_random_structures():
             TransformClaim("label-partitions")).ok
 
 
+@pytest.mark.parametrize("agent", [0, 3])
+def test_fix_interpretation_refuses_an_unknown_agent(agent):
+    with pytest.raises(UnknownAgent,
+                       match=r"^agent %d not in 1\.\.2$" % agent):
+        fix_interpretation(m_red(), agent)
+
+
 def test_thm1_da_records_an_invalid_labelled_structure(monkeypatch):
     """An invalid transform output is a counterexample, caught before the
-    replay, whose evaluators would refuse it."""
+    replay, whose evaluators would refuse it: the labelled structure with
+    its own validation report's first violation."""
     from ambilogic import campaign
 
     def drop_agent_1_cells(m, state):
@@ -312,8 +321,16 @@ def test_thm1_da_records_an_invalid_labelled_structure(monkeypatch):
         campaign.Campaign(seed=3, trials=2, checks=("thm1-da",)))
     result = report.results["thm1-da"]
     assert result.failures == 2
-    assert result.first_counterexample["reason"] \
-        == "labelled structure invalid"
+    counterexample = result.first_counterexample
+    assert counterexample["mismatch"] == {
+        "kind": "partition-cover",
+        "message": "agent 1: partition misses states ['w1', 'w2']",
+        "context": {"agent": 1, "states": ["w1", "w2"]}}
+    assert counterexample["trial"] == 0
+    labelled = counterexample["structure"]  # with its fresh cell labels
+    assert labelled["partitions"]["1"] == []
+    assert labelled["props"] == ["p", "q", "p_1_c0", "p_2_c0", "p_3_c0",
+                                 "p_3_c1"]
 
 
 def _replay_per_state(m, transformed, pairs, formulas, kind):
