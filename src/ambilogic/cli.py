@@ -103,7 +103,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
                        **_one_of(*[m.value for m in EvalMode]))
         p.add_argument("--show-value", action="store_true",
                        help="also print the exact left-hand side of the "
-                            "formula's leading probability comparison")
+                            "formula's leading probability comparison, "
+                            "and that comparison")
         p.add_argument("--json", action="store_true")
 
     if named in (None, "transform"):
@@ -146,19 +147,18 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 
 def _leading_comparison(f):
-    """The formula's leading probability comparison.
-
-    Comparisons other than >= desugar at parse time; peel the desugaring to
-    recover a determinate comparison (left conjunct for =, inner
-    comparison for < and >, possibly sign-flipped for <=/>).
-    """
-    if isinstance(f, fm.ProbGe):
-        return f
-    if isinstance(f, fm.Not) and isinstance(f.arg, fm.ProbGe):
-        return f.arg
-    if isinstance(f, fm.And) and isinstance(f.left, fm.ProbGe):
-        return f.left
-    return None
+    """The formula's leading probability comparison, in the ``>=`` form
+    that is measured: comparisons other than ``>=`` desugar at parse time,
+    so it is the formula, the negated comparison (``<`` and ``>``) or the
+    left conjunct (``=``), sign-flipped for ``<=`` and ``>``; ``B_j g`` is
+    read as ``Pr_j(g) >= 1``."""
+    if isinstance(f, fm.Not):
+        f = f.arg
+    elif isinstance(f, fm.And):
+        f = f.left
+    if isinstance(f, fm.B):
+        return fm.belief(f.agent, f.arg)
+    return f if isinstance(f, fm.ProbGe) else None
 
 
 def _cmd_validate(args) -> int:
@@ -180,16 +180,18 @@ def _cmd_eval(args) -> int:
     mode = EvalMode.parse(args.mode)
     ev = Evaluator(m)
     result = ev.evaluate(args.state, args.agent, f, mode)
-    value = None
+    value = shown_comparison = None
     comparison = _leading_comparison(f) if args.show_value else None
     if comparison is not None:
         value = str(ev.prob_value(args.state, args.agent, comparison, mode))
+        shown_comparison = fm.print_formula(comparison)
     if args.json:
-        print(json.dumps({"result": result, "value": value}))
+        print(json.dumps({"result": result, "value": value,
+                          "comparison": shown_comparison}))
     else:
         print("true" if result else "false")
         if value is not None:
-            print("value = %s" % value)
+            print("value = %s for %s" % (value, shown_comparison))
     return 0
 
 

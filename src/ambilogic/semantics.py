@@ -25,7 +25,10 @@ cell's, with 1, or one over the event holding j's unnormalised prior
 masses, with the event's prior mass.  ``_spaces`` tabulates them per
 (agent, reader) and is the only code that builds conditioning events;
 the comparison clause, ``eb_k``, ``belief_edges`` and common belief all
-read that table, and a comparison is decided per space in integers.
+read that table.  A comparison is decided per space in integers, over the
+one denominator of the space's weights; ``Pr_j(f) >= 1``, which is what
+``B_j f`` and ``E_G f`` expand to, is decided by ``CellBeliefs.believes``,
+the one probability-one test that ``eb_k`` and common belief use too.
 
 Common belief is the conjunction of all finite iterations of "everybody in
 the group believes".  It is decided by one backward pass that computes the
@@ -62,7 +65,7 @@ from .errors import (
 from .modes import EvalMode
 from .reporting import Report
 from .structure import (CellBeliefs, Structure, is_common_interpretation,
-                        over_lcm, validate_core, validate_signals)
+                        over_one_denominator, validate_core, validate_signals)
 
 __all__ = ["EvalMode", "Evaluator", "disagreements", "valid_in_model"]
 
@@ -181,14 +184,14 @@ class Evaluator:
                              % fm.print_formula(f))
         j = core.agent
         reader = j if mode.innermost_scope else agent
-        terms = [(*t.coeff.as_integer_ratio(),
-                  self._ext_core(reader, t.arg, mode)) for t in core.terms]
+        coeffs, q = over_one_denominator(t.coeff for t in core.terms)
+        exts = [self._ext_core(reader, t.arg, mode) for t in core.terms]
         spaces, _, undefined = self._spaces(j, mode, reader)
         if state in undefined:
             raise self._undefined(j, state, undefined[state])
         for sources, space, mass in spaces:
             if state in sources:
-                return Fraction(*self._lhs(terms, space, mass))
+                return Fraction(*self._lhs(coeffs, q, exts, space, mass))
 
     def common_belief_set(self, group, f, mode: EvalMode,
                           outer: int) -> frozenset:
@@ -308,30 +311,34 @@ class Evaluator:
                 elif kind is fm.And:
                     ext[k] = read[0] & read[1]
                 elif kind is fm.ProbGe:
-                    terms = [(*t.coeff.as_integer_ratio(), e)
-                             for t, e in zip(g.terms, read)]
-                    bound = g.bound.as_integer_ratio()
-                    ext[k] = frozenset().union(*[
-                        sources for sources, space, mass
-                        in self._defined_spaces(g.agent, mode, reader)
-                        if self._lhs(terms, space, mass, bound)[0] >= 0])
+                    spaces = self._defined_spaces(g.agent, mode, reader)
+                    if (len(read) == 1 and g.bound == 1
+                            and g.terms[0].coeff == 1):  # B_j's expansion
+                        held = [sources for sources, space, _ in spaces
+                                if space.believes(read[0])]
+                    else:
+                        (*coeffs, bound), q = over_one_denominator(
+                            [*(t.coeff for t in g.terms), g.bound])
+                        held = [sources for sources, space, mass in spaces
+                                if self._lhs(coeffs, q, read, space, mass,
+                                             bound)[0] >= 0]
+                    ext[k] = frozenset().union(*held)
                 else:
                     ext[k] = self._cb_set(g.group, g.arg, mode, a)
         return ext[key]
 
     @staticmethod
-    def _lhs(terms, space, mass, bound=(0, 1)) -> tuple:
+    def _lhs(coeffs, q, exts, space, mass, bound=0) -> tuple:
         """(numerator, positive denominator) of a comparison's left-hand
-        side over ``space`` less ``bound``: coefficient times mass
-        numerators, summed under one LCM of their denominators' products,
-        divided by ``mass`` and less the bound by cross-multiplying."""
-        per_den = {}
-        for p, q, ext in terms:
-            for d, n in space.weights(ext).items():
-                per_den[q * d] = per_den.get(q * d, 0) + p * n
-        num, den = over_lcm(per_den)
-        (mn, md), (bn, bd) = mass.as_integer_ratio(), bound
-        return num * md * bd - bn * den * mn, den * mn * bd
+        side over ``space`` less its bound, with the coefficients and the
+        bound given as numerators over q: coefficients times the weights of
+        ``exts``, over q times the space's denominator and normaliser."""
+        num = 0
+        for c, ext in zip(coeffs, exts):
+            num += c * space.weights(ext)
+        mn, md = mass.as_integer_ratio()
+        den = space.denominator() * mn
+        return num * md - bound * den, den * q
 
     def _spaces(self, j: int, mode: EvalMode, reader: int) -> tuple:
         """Agent j's probability spaces, with j's signals read by

@@ -57,69 +57,68 @@ class CellBeliefs(fm.Frozen):
 
     ``atoms`` partition the cell and generate the measurable sets; the mass
     of a measurable event is the sum of its atoms' masses.  With singleton
-    atoms (the powerset algebra) every event is measurable and point masses
-    are cached for speed, as (numerator, denominator) pairs.  One pass over
-    the atoms finds both the support and the point masses.
+    atoms (the powerset algebra) every event is measurable.  The first
+    comparison that reads the space puts its masses over one integer
+    denominator, kept as one weight per state when the atoms are singletons
+    and one per atom otherwise; ``believes`` is the one probability-one
+    test, by the support where it can be.
     """
 
     _fields = ("states", "atoms", "masses")
-    __slots__ = _fields + ("_support", "_point")
+    __slots__ = _fields + ("_support", "_points", "_weights")
 
     def __init__(self, states: frozenset, atoms: tuple, masses: tuple):
         set_field = object.__setattr__
         set_field(self, "states", states)
         set_field(self, "atoms", atoms)
         set_field(self, "masses", masses)
-        positive = []
-        point = {}
-        for atom, mass in zip(atoms, masses):
-            ratio = mass.as_integer_ratio()
-            if ratio[0] > 0:
-                positive.append(atom)
-            if point is None:
-                continue
-            if len(atom) == 1:
-                [s] = atom
-                point[s] = ratio
-            else:
-                point = None
-        set_field(self, "_support", frozenset().union(*positive))
-        set_field(self, "_point", point)
+        set_field(self, "_support", frozenset().union(*[
+            atom for atom, mass in zip(atoms, masses) if mass.numerator > 0]))
+        set_field(self, "_points", all(len(atom) == 1 for atom in atoms))
+        set_field(self, "_weights", None)
 
     def support(self) -> frozenset:
         """Union of the atoms that carry positive mass."""
         return self._support
 
     def believes(self, event: frozenset) -> bool:
-        """Mass-one test of the part of an event inside the cell: by the
-        support when point masses are cached, by its measure otherwise."""
-        return (self._support <= event if self._point is not None
-                else self.measure(event) == 1)
+        """Mass-one test of the part of an event inside the space: by the
+        support when the atoms are singletons, by its weight otherwise."""
+        return (self._support <= event if self._points
+                else self.weights(event) == self.denominator())
 
-    def weights(self, event: frozenset) -> dict:
-        """Numerators, per denominator, of the masses inside ``event``: its
-        states' point masses, or the atoms it holds, if it cuts none."""
+    def _integers(self) -> tuple:
+        """(weights, denominator) of the masses, kept from the first call."""
+        weights, den = over_one_denominator(self.masses)
+        if self._points:
+            weights = {s: w for [s], w in zip(self.atoms, weights)}
+        object.__setattr__(self, "_weights", (weights, den))
+        return weights, den
+
+    def denominator(self) -> int:
+        """The denominator of every ``weights`` numerator."""
+        return (self._weights or self._integers())[1]
+
+    def weights(self, event: frozenset) -> int:
+        """Numerator over ``denominator()`` of the mass inside ``event``:
+        its states' weights, or the atoms it holds, if it cuts none."""
+        weights = (self._weights or self._integers())[0]
         event = event & self.states
-        per_den = {}
-        point = self._point
-        if point is not None:
-            for s in event:
-                n, d = point[s]
-                per_den[d] = per_den.get(d, 0) + n
-            return per_den
-        for atom, mass in zip(self.atoms, self.masses):
+        if self._points:
+            return sum(map(weights.__getitem__, event))
+        total = 0
+        for atom, weight in zip(self.atoms, weights):
             if atom <= event:
-                n, d = mass.as_integer_ratio()
-                per_den[d] = per_den.get(d, 0) + n
+                total += weight
             elif atom & event:
                 raise NotMeasurable(
                     "event {%s} cuts across atom {%s}"
                     % (", ".join(sorted(event)), ", ".join(sorted(atom))))
-        return per_den
+        return total
 
     def measure(self, event: frozenset) -> Fraction:
         """Mass of the part of ``event`` in the space (``weights``)."""
-        return Fraction(*over_lcm(self.weights(event)))
+        return Fraction(self.weights(event), self.denominator())
 
 
 def singleton_cell(states, masses) -> CellBeliefs:
@@ -223,22 +222,12 @@ class Structure(fm.Frozen):
 
 # --- Validation ---
 
-def over_lcm(per_den: dict) -> tuple:
-    """Unreduced (numerator, denominator) of a sum given as numerators per
-    denominator, each scaled once to the LCM; an empty sum is (0, 1)."""
-    lcm = math.lcm(*per_den)
-    return sum(n * (lcm // d) for d, n in per_den.items()), lcm
-
-
-def _exact_sum(qs) -> tuple:
-    """(whether any of the rationals is negative, their exact sum)."""
-    per_den = {}
-    negative = False
-    for q in qs:
-        n, d = q.as_integer_ratio()
-        per_den[d] = per_den.get(d, 0) + n
-        negative = negative or n < 0
-    return negative, Fraction(*over_lcm(per_den))
+def over_one_denominator(qs) -> tuple:
+    """(numerators, denominator): the rationals ``qs`` as integers over
+    the least common multiple of their denominators; none give ([], 1)."""
+    ratios = [q.as_integer_ratio() for q in qs]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _show_sum(q: Fraction) -> str:
@@ -303,11 +292,12 @@ def validate_core(m: Structure) -> Report:
                            "agent %d cell %d: atoms do not partition the "
                            "cell" % (i, ci), agent=i, cell=ci)
                 continue
-            negative, total = _exact_sum(cb.masses)
-            if negative:
+            numerators, den = over_one_denominator(cb.masses)
+            if min(numerators, default=0) < 0:
                 report.add("measure-negative",
                            "agent %d cell %d has a negative mass" % (i, ci),
                            agent=i, cell=ci)
+            total = Fraction(sum(numerators), den)
             if total != 1:
                 shown = _show_sum(total)
                 report.add("measure-sum",
@@ -318,7 +308,7 @@ def validate_core(m: Structure) -> Report:
     # cell.  With point masses (the powerset algebra) every event is.
     for i in m.agents:
         for ci, (cell, cb) in enumerate(zip(m.partitions[i], m.beliefs[i])):
-            if cb.states != cell or cb._point is not None:
+            if cb.states != cell or cb._points:
                 continue
             for j in m.agents:
                 if j == i:
@@ -364,10 +354,11 @@ def validate_core(m: Structure) -> Report:
                 report.add("prior-missing", "agent %d has no prior" % i,
                            agent=i)
                 continue
-            negative, total = _exact_sum(nu.values())
-            if negative:
+            numerators, den = over_one_denominator(nu.values())
+            if min(numerators, default=0) < 0:
                 report.add("prior-negative",
                            "agent %d prior has a negative mass" % i, agent=i)
+            total = Fraction(sum(numerators), den)
             if total != 1:
                 shown = _show_sum(total)
                 report.add("prior-sum",
@@ -787,7 +778,7 @@ def structure_to_dict(m: Structure) -> dict:
     for i in m.agents:
         cells = []
         for cb in m.beliefs[i]:
-            if cb._point is not None:
+            if cb._points:
                 cells.append({"measure": {
                     min(atom): str(mass)
                     for atom, mass in zip(cb.atoms, cb.masses)

@@ -14,12 +14,21 @@ believes" up to the saturation bound |states| * |group| + 1, each level
 computed by literally unfolding the belief operator, once per reader for
 one top-level query.  Exponential in the nesting, so only for very small
 structures.
+
+An undefined conditional (a conditioning event of prior mass 0) raises
+``UndefinedConditional`` where a probability is asked of it, except in the
+levels of common belief, where a group agent whose conditional is undefined
+at a state believes everything there.  A common-belief query then raises
+for the first state, in ``states`` order, where some group agent's
+conditional is undefined and common belief so read holds, naming the
+first such agent: the evaluator answers only where common belief fails
+anyway (the ``semantics`` docstring).
 """
 
 from fractions import Fraction
 
 from ambilogic import formula as fm
-from ambilogic.errors import NotMeasurable
+from ambilogic.errors import NotMeasurable, UndefinedConditional
 
 
 def eval_brute(m, state, agent, f, mode):
@@ -59,11 +68,19 @@ def cell_mass(m, j, state, ext):
     return total
 
 
+def _undefined(m, mode, agent, j, state):
+    """Whether j's conditional at ``state`` is undefined in ``mode``."""
+    return mode.is_ai and prior_mass(
+        m, j, _conditioning_event(m, mode, agent, j, state)) == 0
+
+
 def _prob_of(m, mode, agent, j, state, ext):
     if mode.is_ai:
         event = _conditioning_event(m, mode, agent, j, state)
         denom = prior_mass(m, j, event)
-        assert denom > 0, "brute oracle hit an undefined conditional"
+        if denom == 0:
+            raise UndefinedConditional(
+                j, state, fm.print_formula(m.signals[j][state]), event)
         return prior_mass(m, j, ext & event) / denom
     return cell_mass(m, j, state, ext)
 
@@ -96,11 +113,27 @@ def _ev(m, state, agent, f, mode):
     if isinstance(f, fm.ProbGe):
         return prob_value_brute(m, state, agent, f, mode) >= f.bound
     if isinstance(f, fm.CB):
-        bound = len(m.states) * len(f.group) + 1
-        levels = {}
-        return all(_eb(m, state, agent, f.group, f.arg, k, mode, levels)
-                   for k in range(1, bound + 1))
+        return _cb(m, state, agent, f, mode)
     raise TypeError("not a formula: %r" % (f,))
+
+
+def _cb(m, state, agent, f, mode):
+    """Common belief at ``state``: every level up to the saturation bound,
+    read with undefined conditionals believing everything; raises for the
+    first state where one is undefined and common belief so read holds."""
+    bound = len(m.states) * len(f.group) + 1
+    levels = {}
+
+    def holds(s):
+        return all(_eb(m, s, agent, f.group, f.arg, k, mode, levels, True)
+                   for k in range(1, bound + 1))
+
+    for s in m.states:
+        undefined = [j for j in sorted(f.group)
+                     if _undefined(m, mode, agent, j, s)]
+        if undefined and holds(s):
+            _prob_of(m, mode, agent, undefined[0], s, frozenset())  # raises
+    return holds(state)
 
 
 def prob_value_brute(m, state, agent, f, mode):
@@ -115,18 +148,22 @@ def prob_value_brute(m, state, agent, f, mode):
     return value
 
 
-def _eb(m, state, agent, group, arg, k, mode, levels):
+def _eb(m, state, agent, group, arg, k, mode, levels, vacuous=False):
     """Whether the k-fold "everybody in ``group`` believes ``arg``" holds at
-    ``state`` as ``agent`` reads it; ``levels`` is the query's memo."""
+    ``state`` as ``agent`` reads it; ``levels`` is the query's memo.  With
+    ``vacuous`` (common belief's levels), a group agent whose conditional
+    is undefined at ``state`` is not asked."""
     for j in sorted(group):
+        if vacuous and _undefined(m, mode, agent, j, state):
+            continue
         ext = _level(m, _reader(mode, agent, j), group, arg, k - 1, mode,
-                     levels)
+                     levels, vacuous)
         if _prob_of(m, mode, agent, j, state, ext) != 1:
             return False
     return True
 
 
-def _level(m, reader, group, arg, k, mode, levels):
+def _level(m, reader, group, arg, k, mode, levels, vacuous):
     """The states where level k holds as ``reader`` reads it (level 0 is
     ``arg``), kept in ``levels`` per (reader, k) for one top-level query,
     so that each level is computed once."""
@@ -135,5 +172,6 @@ def _level(m, reader, group, arg, k, mode, levels):
         levels[key] = frozenset(
             s for s in m.states
             if (_ev(m, s, reader, arg, mode) if k == 0
-                else _eb(m, s, reader, group, arg, k, mode, levels)))
+                else _eb(m, s, reader, group, arg, k, mode, levels,
+                         vacuous)))
     return levels[key]

@@ -73,19 +73,35 @@ def test_eval_with_value(red_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "true"
-    assert out[1] == "value = 1/2"
+    assert out[1] == "value = 1/2 for Pr2(p) >= 1/2"
 
 
 def test_eval_equality_value(red_path, capsys):
     main(["eval", "--model", red_path, "--formula", "Pr2(p) = 1/2",
           "--state", "w1", "--agent", "1", "--mode", "ou", "--show-value"])
     out = capsys.readouterr().out.splitlines()
-    assert out == ["true", "value = 1/2"]
+    assert out == ["true", "value = 1/2 for Pr2(p) >= 1/2"]
+
+
+@pytest.mark.parametrize("formula, expected", [
+    # <= and > desugar to the negated sum: the value is that of the
+    # comparison printed beside it
+    ("Pr2(p) <= 1/2", ["true", "value = -1/2 for -1*Pr2(p) >= -1/2"]),
+    ("Pr2(p) > 1/2", ["false", "value = -1/2 for -1*Pr2(p) >= -1/2"]),
+    ("B2 p", ["false", "value = 1/2 for Pr2(p) >= 1"]),
+    ("!B2 p", ["true", "value = 1/2 for Pr2(p) >= 1"]),
+])
+def test_eval_value_names_its_comparison(formula, expected, red_path,
+                                         capsys):
+    main(["eval", "--model", red_path, "--formula", formula,
+          "--state", "w1", "--agent", "1", "--mode", "ou", "--show-value"])
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("extra, line", [
-    ((), '{"result": true, "value": null}'),
-    (("--show-value",), '{"result": true, "value": "1/2"}'),
+    ((), '{"result": true, "value": null, "comparison": null}'),
+    (("--show-value",),
+     '{"result": true, "value": "1/2", "comparison": "Pr2(p) >= 1/2"}'),
 ])
 def test_eval_json(extra, line, red_path, capsys):
     code = main(["eval", "--model", red_path, "--formula", "Pr2(p) >= 1/2",
@@ -106,9 +122,10 @@ def test_eval_signal_mode(ai_path, capsys):
 
 
 @pytest.mark.parametrize("formula, mode, expected", [
-    ("Pr1(p) = 1/2", "in-ai", ["true", "value = 1/2"]),
-    ("Pr1(p) >= 1", "ou-ai", ["true", "value = 1"]),
-    ("Pr1(p) < 1/2", "ou-ai", ["false", "value = 1"]),
+    ("Pr1(p) = 1/2", "in-ai", ["true", "value = 1/2 for Pr1(p) >= 1/2"]),
+    ("Pr1(p) >= 1", "ou-ai", ["true", "value = 1 for Pr1(p) >= 1"]),
+    ("Pr1(p) < 1/2", "ou-ai", ["false", "value = 1 for Pr1(p) >= 1/2"]),
+    ("B1 p", "in-ai", ["false", "value = 1/2 for Pr1(p) >= 1"]),
 ])
 def test_eval_signal_mode_value(formula, mode, expected, capsys):
     code = main(["eval", "--model", AI_MODEL, "--formula", formula,

@@ -2,12 +2,13 @@
 on small structures and surface formulas that Hypothesis draws, in the
 cell modes, in common mode with indexed propositions, and in the
 ``ou-ai``/``in-ai`` modes with plain and with cross-read signals, with
-states of prior mass zero."""
+states of prior mass zero; common belief in every mode, also where a
+group agent's conditional is undefined."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambilogic import formula as fm
@@ -181,7 +182,7 @@ def test_plain_signal_modes_match_oracle(m, data):
     m, _ = attach_cell_signals(m.replace(priors=generate_priors(m)))
     m = zero_a_prior_state(m, data)
     plain = [fm.Prop(p) for p in PROPS]
-    _agree(m, data.draw(surface_formulas(m, plain, False), label="formulas"),
+    _agree(m, data.draw(surface_formulas(m, plain, True), label="formulas"),
            (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI))
 
 
@@ -195,7 +196,7 @@ def test_cross_read_signal_modes_match_oracle(m, data):
     m = zero_a_prior_state(
         cross_read(m.replace(priors=generate_priors(m)), data), data)
     plain = [fm.Prop(p) for p in PROPS]
-    formulas = data.draw(surface_formulas(m, plain, False), label="formulas")
+    formulas = data.draw(surface_formulas(m, plain, True), label="formulas")
     modes = (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI)
     _agree(m, formulas, modes)
     ev = Evaluator(m)
@@ -210,3 +211,38 @@ def test_cross_read_signal_modes_match_oracle(m, data):
                         continue
                     assert got == prob_value_brute(m, s, i, g, mode), (
                         s, i, fm.print_formula(g), mode.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.data())
+def test_common_belief_past_an_undefined_conditional_matches_oracle(m, data):
+    # Agent j's prior is zero on the cell of a drawn state t, so j's
+    # conditional is undefined there; another group agent k gives false
+    # probability below one at t, so common belief in false fails at t
+    # anyway and the evaluator answers, as the oracle must.
+    assume(m.n_agents >= 2)
+    m, _ = attach_cell_signals(m.replace(priors=generate_priors(m)))
+    j, k = data.draw(st.permutations(m.agents), label="j, k")[:2]
+    t = data.draw(st.sampled_from(m.states), label="t")
+    cell = m.cell_of(j, t)
+    nu = {s: (Fraction(0) if s in cell else v)
+          for s, v in m.priors[j].items()}
+    total = sum(nu.values())
+    assume(total)
+    m = m.replace(priors={**m.priors, j: {s: v / total
+                                          for s, v in nu.items()}})
+    assert prior_mass(m, j, cell) == 0
+    group = frozenset({j, k})
+    modes = (EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI)
+    ev = Evaluator(m)
+    for mode in modes:
+        for outer in m.agents:
+            assert t not in ev.common_belief_set(group, fm.FalseF(), mode,
+                                                 outer)
+    plain = [fm.Prop(p) for p in PROPS]
+    args = data.draw(st.lists(
+        st.recursive(st.sampled_from(plain), lambda sub: st.one_of(
+            st.builds(fm.Not, sub), st.builds(fm.And, sub, sub),
+            st.builds(fm.B, st.sampled_from(m.agents), sub)),
+            max_leaves=3), min_size=1, max_size=2), label="arguments")
+    _agree(m, [fm.CB(group, f) for f in [fm.FalseF(), *args]], modes)

@@ -1,12 +1,16 @@
 import gc
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambilogic import formula as fm
 from ambilogic.errors import (
+    AmbilogicError,
     CoreInvalid,
     ModePrereqMissing,
     MissingSignals,
@@ -34,7 +38,7 @@ from ambilogic.structure import (
     structure_from_dict,
     validate_core,
 )
-from ambilogic.transforms import fix_interpretation
+from ambilogic.transforms import attach_cell_signals, fix_interpretation
 from ambilogic.translation import translate_in
 
 from demo_models import m_ai, m_ck, m_red, m_sig
@@ -44,6 +48,7 @@ OU_AI, IN_AI = EvalMode.OUTERMOST_AI, EvalMode.INNERMOST_AI
 COMMON = EvalMode.COMMON
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def test_outermost_probability_clause():
@@ -974,3 +979,183 @@ def test_kernel_coarse_cell_cut_by_a_later_term():
     assert Evaluator(m).prob_value("w1", 1, f, OU) == Fraction(2, 3) + \
         Fraction(2, 9)
     assert _matches_oracle(m, ["Pr1(p) + 2/3*Pr1(q) >= 1/2"], (IN,)) > 0
+
+
+# Cell masses and priors are drawn as k/p for distinct primes p (the last
+# state takes what is left of one); coefficients and bounds have other
+# denominators, so every comparison mixes coprime denominators.
+_PRIMES = (3, 7, 11, 13, 17)
+_OTHER_DENOMINATORS = (1, 2, 4, 5, 9)
+
+
+def _coprime_masses(draw, states):
+    primes = draw(st.permutations(_PRIMES))
+    masses, left = {}, ONE
+    for s, p in zip(states[:-1], primes):
+        masses[s] = Fraction(draw(st.integers(0, int(left * p))), p)
+        left -= masses[s]
+    masses[states[-1]] = left
+    return masses
+
+
+@st.composite
+def _coprime_structures(draw):
+    """_kernel_structure's partitions with drawn masses, readings and cell
+    signals with a drawn prior.  Both agents' cells hold w1 and w2
+    together, so either may have the coarse atom {w1, w2}; every agent
+    then reads w2 as w1, so each can measure its own propositions."""
+    coarse = draw(st.sampled_from([(), (1,), (2,), (1, 2)]))
+    cells = {1: (("w1", "w2", "w3"), ("w4",)), 2: (("w1", "w2"), ("w3", "w4"))}
+    beliefs = {}
+    for i in (1, 2):
+        beliefs[i] = []
+        for cell in cells[i]:
+            masses = _coprime_masses(draw, cell)
+            if i in coarse and "w1" in cell:
+                atoms = ((frozenset({"w1", "w2"}),)
+                         + tuple(frozenset([s]) for s in cell[2:]))
+                beliefs[i].append(CellBeliefs(frozenset(cell), atoms, (
+                    masses["w1"] + masses["w2"],
+                    *(masses[s] for s in cell[2:]))))
+            else:
+                beliefs[i].append(singleton_cell(cell, masses))
+    interpretations = {}
+    for i in (1, 2):
+        interpretations[i] = {}
+        for p in ("p", "q"):
+            ext = set(draw(st.sets(st.sampled_from(("w1", "w2", "w3", "w4")))))
+            if coarse:
+                ext = ext | {"w2"} if "w1" in ext else ext - {"w2"}
+            interpretations[i][p] = frozenset(ext)
+    m = Structure(n_agents=2, states=("w1", "w2", "w3", "w4"),
+                  props=("p", "q"),
+                  partitions={i: tuple(map(frozenset, cells[i]))
+                              for i in (1, 2)},
+                  beliefs={i: tuple(b) for i, b in beliefs.items()},
+                  interpretations=interpretations)
+    m, _ = attach_cell_signals(m)
+    return m.replace(priors={
+        i: _coprime_masses(draw, m.states) for i in (1, 2)})
+
+
+def _coprime_rationals(numerators):
+    return st.builds(Fraction, st.sampled_from(numerators),
+                     st.sampled_from(_OTHER_DENOMINATORS))
+
+
+_COMPARISON_FORMULAS = st.recursive(
+    st.sampled_from([fm.Prop("p"), fm.Prop("q")]),
+    lambda sub: st.one_of(
+        st.builds(fm.Not, sub),
+        st.builds(fm.And, sub, sub),
+        st.builds(fm.B, st.sampled_from((1, 2)), sub),
+        st.builds(lambda j, terms, bound: fm.ProbGe(
+            tuple((c, j, f) for c, f in terms), bound),
+            st.sampled_from((1, 2)),
+            st.lists(st.tuples(_coprime_rationals((-3, -1, 1, 2, 7)), sub),
+                     min_size=1, max_size=3),
+            _coprime_rationals((-2, -1, 0, 1, 2, 3)))),
+    max_leaves=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coprime_structures(), st.lists(_COMPARISON_FORMULAS, min_size=1,
+                                       max_size=3))
+def test_kernel_coprime_denominators_match_oracle(m, formulas):
+    # extension and prob_value, in all five modes, equal tests/oracle.py's
+    # plain Fraction sums exactly, wherever the evaluator answers: an event
+    # that cuts a coarse atom, or an undefined conditional, raises instead
+    from oracle import eval_brute, prob_value_brute
+    for mode in EvalMode:
+        model = fix_interpretation(m, 1) if mode is COMMON else m
+        ev = Evaluator(model)
+        for f in formulas:
+            for i in model.agents:
+                try:
+                    got = ev.extension(i, f, mode)
+                except (NotMeasurable, UndefinedConditional):
+                    continue
+                assert got == frozenset(
+                    s for s in model.states
+                    if eval_brute(model, s, i, f, mode)), (
+                        fm.print_formula(f), mode.value, i)
+                for g in fm.subformulas(f):
+                    if isinstance(g, fm.ProbGe):
+                        for s in model.states:
+                            assert ev.prob_value(s, i, g, mode) \
+                                == prob_value_brute(model, s, i, g, mode)
+
+
+# --- One probability-one test for B_j, E_G, eb_k and common belief ---
+
+def _outcome(call):
+    """What a query gives: its answer, or its error's type and message."""
+    try:
+        return call()
+    except AmbilogicError as exc:
+        return type(exc), str(exc)
+
+
+def _coarsened_pair(m, rng):
+    """m with a coarse atom {s, t} in agent i's cell, for two states that
+    share a cell for every agent; i and agent 1 (whose readings common mode
+    takes) read every proposition alike at s and t, and the others' readings
+    may cut the atom.  m itself where no two states share every cell."""
+    pairs = [(s, t) for s, t in itertools.combinations(m.states, 2)
+             if all(m.cell_index(i, s) == m.cell_index(i, t)
+                    for i in m.agents)]
+    if not pairs:
+        return m
+    s, t = rng.choice(pairs)
+    i = rng.choice(list(m.agents))
+    ci = m.cell_index(i, s)
+    cb = m.beliefs[i][ci]
+    mass = {min(atom): w for atom, w in zip(cb.atoms, cb.masses)}
+    rest = sorted(cb.states - {s, t})
+    coarse = CellBeliefs(cb.states, (frozenset({s, t}), *(
+        frozenset([u]) for u in rest)), (mass[s] + mass[t], *map(
+            mass.__getitem__, rest)))
+    return m.replace(
+        beliefs={**m.beliefs, i: (*m.beliefs[i][:ci], coarse,
+                                   *m.beliefs[i][ci + 1:])},
+        interpretations={**m.interpretations, **{
+            j: {p: ext | {t} if s in ext else ext - {t}
+                for p, ext in m.interpretations[j].items()}
+            for j in {1, i}}})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from(["none", "state", "cell"]))
+def test_belief_comparison_and_eb_k_share_one_test(seed, cross, coarse,
+                                                   zero):
+    # B_j f, 2*Pr_j(f) >= 2 (the general comparison path) and
+    # eb_k({j}, f, 1) give one answer or raise one message, in all five
+    # modes, with coarse cells, states of mass zero, and a prior of zero
+    # at a state or on a whole cell (an undefined conditional)
+    rng = random.Random(seed)
+    m = random_signal_structure(rng, GenBounds(max_states=5, max_agents=3,
+                                               max_props=2), cross=cross)
+    if coarse:
+        m = _coarsened_pair(m, rng)
+    if zero != "none":
+        j, s = rng.choice(list(m.agents)), rng.choice(m.states)
+        dropped = m.cell_of(j, s) if zero == "cell" else {s}
+        nu = {u: ZERO if u in dropped else v for u, v in m.priors[j].items()}
+        if sum(nu.values()):
+            total = sum(nu.values())
+            m = m.replace(priors={**m.priors, j: {
+                u: v / total for u, v in nu.items()}})
+    base = [p for p in m.props if not p.startswith("u")]
+    f = random_core_formula(rng, base, m.n_agents, rng.randint(0, 2))
+    for mode in EvalMode:
+        model = fix_interpretation(m, 1) if mode is COMMON else m
+        for j in model.agents:
+            twice = fm.ProbGe(((2, j, f),), 2)
+            for i in model.agents:
+                belief = _outcome(
+                    lambda: Evaluator(model).extension(i, fm.B(j, f), mode))
+                assert _outcome(lambda: Evaluator(model).extension(
+                    i, twice, mode)) == belief
+                assert _outcome(lambda: Evaluator(model).eb_k(
+                    {j}, f, 1, mode, i)) == belief

@@ -124,7 +124,7 @@ def test_validate_core_probes_only_coarse_cells(monkeypatch):
     assert validate_core(m_sig()).ok and probed == []
     m = coarse_atom_structure()
     assert "prop-measurability" in validate_core(m).kinds()
-    assert probed and all(cb._point is None for cb in probed)
+    assert probed and not any(cb._points for cb in probed)
 
 
 def test_validate_core_flags_unmeasurable_other_cell():
@@ -651,7 +651,7 @@ def test_json_roundtrip_of_generated_structures():
             assert again.beliefs[i] == m.beliefs[i]
             for cb, want in zip(again.beliefs[i], m.beliefs[i]):
                 assert cb.support() == want.support()
-                assert cb._point == want._point
+                assert cb._points == want._points
 
 
 def test_loader_rejects_json_floats_by_name():
@@ -846,7 +846,7 @@ def test_point_mass_cell_that_is_no_partition(agent, atoms, measure, also):
     m = _red_with_atoms(agent, atoms, measure)
     i = int(agent)
     point = all(len(atom) == 1 for atom in atoms)  # all but empty, overlapping
-    assert (m.beliefs[i][0]._point is not None) == point
+    assert m.beliefs[i][0]._points == point
     assert _entries(validate_core(m)) == [
         ("cell-sample-space",
          "agent %d cell 0: atoms do not partition the cell" % i,
